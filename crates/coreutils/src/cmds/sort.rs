@@ -78,11 +78,29 @@ impl SortOptions {
 
     /// Compares two lines (without trailing newline) under these options.
     pub fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
+        self.compare_with((a, self.numeric_value(a)), (b, self.numeric_value(b)))
+    }
+
+    /// The number `-n` orders `line` by (0 without `-n`). Parsing it costs
+    /// more than a comparison, so sorts and merges take it once per line
+    /// and compare with [`SortOptions::compare_with`].
+    #[inline]
+    pub fn numeric_value(&self, line: &[u8]) -> f64 {
+        if self.numeric {
+            numeric_key(self.key(line))
+        } else {
+            0.0
+        }
+    }
+
+    /// [`SortOptions::compare`] over lines paired with their
+    /// [`SortOptions::numeric_value`].
+    #[inline]
+    pub fn compare_with(&self, (a, na): (&[u8], f64), (b, nb): (&[u8], f64)) -> Ordering {
         let ka = self.key(a);
         let kb = self.key(b);
         let ord = if self.numeric {
-            numeric_key(ka)
-                .partial_cmp(&numeric_key(kb))
+            na.partial_cmp(&nb)
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| ka.cmp(kb))
         } else {
@@ -139,7 +157,17 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     };
     let data = read_all_input(&operands, io, ctx)?;
     let mut lines: Vec<&[u8]> = jash_io::split_lines(&data);
-    lines.sort_by(|a, b| opts.compare(a, b));
+    if opts.numeric {
+        // Decorate, sort, undecorate: one parse a line, not two a comparison.
+        let mut keyed: Vec<(&[u8], f64)> = lines
+            .iter()
+            .map(|&line| (line, opts.numeric_value(line)))
+            .collect();
+        keyed.sort_by(|&a, &b| opts.compare_with(a, b));
+        lines = keyed.into_iter().map(|(line, _)| line).collect();
+    } else {
+        lines.sort_by(|a, b| opts.compare(a, b));
+    }
     let mut out = Vec::with_capacity(data.len() + lines.len());
     let mut prev: Option<&[u8]> = None;
     for line in lines {
@@ -228,6 +256,35 @@ mod tests {
     fn unsupported_flag_errors() {
         let (st, _, _) = run_on_bytes(&ctx(), "sort", &["-Z"], b"").unwrap();
         assert_eq!(st, 2);
+    }
+
+    #[test]
+    fn numeric_sort_on_cached_keys_orders_as_compare_does() {
+        // Ties in value ("07", "7", "+7", " 7"), non-numbers (0), repeats,
+        // and a second field for `-k`.
+        let input =
+            b"10 x\n9 b\n07 c\n7 c\n-2 q\nabc 5\n\n 7 a\n+7 a\n9 a\n1e3 0\n7 c\n3.5 -1\n9 b\n";
+        for flags in [
+            &["-n"][..],
+            &["-rn"],
+            &["-nu"],
+            &["-rnu"],
+            &["-n", "-k2"],
+            &["-nu", "-k", "2"],
+        ] {
+            let args: Vec<String> = flags.iter().map(|f| f.to_string()).collect();
+            let (opts, _) = SortOptions::parse(&args).unwrap();
+            let mut want: Vec<&[u8]> = jash_io::split_lines(input);
+            want.sort_by(|a, b| opts.compare(a, b));
+            if opts.unique {
+                want.dedup_by(|b, a| opts.compare(a, b) == Ordering::Equal);
+            }
+            let want: String = want
+                .iter()
+                .map(|l| format!("{}\n", String::from_utf8_lossy(l)))
+                .collect();
+            assert_eq!(sort(flags, input), want, "{flags:?}");
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::util::{split_flags, write_stderr};
 use crate::{UtilCtx, UtilIo};
-use bytes::BytesMut;
+use bytes::Bytes;
 use std::io;
 
 /// Runs `tr [-c] [-d] [-s] SET1 [SET2]`.
@@ -93,7 +93,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     let translating = set2.is_some() && !delete;
     let mut last_out: Option<u8> = None;
     while let Some(chunk) = io.stdin.next_chunk()? {
-        let mut out = BytesMut::with_capacity(chunk.len());
+        let mut out = Vec::with_capacity(chunk.len());
         for &b in chunk.iter() {
             let mut ob = b;
             if delete && member[b as usize] {
@@ -108,10 +108,10 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 continue;
             }
             last_out = Some(ob);
-            out.extend_from_slice(&[ob]);
+            out.push(ob);
         }
         if !out.is_empty() {
-            io.stdout.write_chunk(out.freeze())?;
+            io.stdout.write_chunk(Bytes::from(out))?;
         }
     }
     Ok(0)

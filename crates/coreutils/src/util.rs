@@ -86,14 +86,13 @@ pub fn for_each_input_line(
         if *done {
             return Ok(());
         }
-        lb.push(&chunk);
-        while let Some(line) = lb.next_line() {
-            if !f(stdout, &line)? {
+        lb.push_bytes(chunk);
+        while let Some(line) = lb.next_line_ref() {
+            if !f(stdout, line)? {
                 *done = true;
                 return Ok(());
             }
         }
-        lb.mark_scanned();
         Ok(())
     };
 

@@ -301,6 +301,48 @@ mod tests {
     }
 
     #[test]
+    fn separate_option_values_stay_with_their_flag() {
+        // Both spellings of `-n K`, `-k F` and `-t S`, fed by a pipe and
+        // given a file: the value never becomes a read or leaves the args.
+        for (name, joined, split) in [
+            ("head", &["-n3"][..], &["-n", "3"][..]),
+            ("tail", &["-n3"], &["-n", "3"]),
+            ("sort", &["-k2"], &["-k", "2"]),
+            ("sort", &["-t:"], &["-t", ":"]),
+        ] {
+            for flags in [joined, split] {
+                let cat = ExpandedCommand::new("cat", &["/in"]);
+                let piped = compile(
+                    &region(vec![cat, ExpandedCommand::new(name, flags)]),
+                    &reg(),
+                )
+                .unwrap_or_else(|e| panic!("cat /in | {name} {flags:?}: {e}"));
+                let with_file: Vec<&str> = flags.iter().copied().chain(["/in"]).collect();
+                let direct = compile(
+                    &region(vec![ExpandedCommand::new(name, &with_file)]),
+                    &reg(),
+                )
+                .unwrap_or_else(|e| panic!("{name} {with_file:?}: {e}"));
+                for c in [piped, direct] {
+                    let reads: Vec<_> = c
+                        .dfg
+                        .node_ids()
+                        .filter_map(|n| match &c.dfg.node(n).kind {
+                            NodeKind::ReadFile { path } => Some(path.clone()),
+                            _ => None,
+                        })
+                        .collect();
+                    assert_eq!(reads, vec!["/in".to_string()], "{name} {flags:?}");
+                    match &c.dfg.node(c.dfg.command_nodes()[0]).kind {
+                        NodeKind::Command { args, .. } => assert_eq!(args, flags),
+                        other => panic!("{other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn unknown_command_rejected() {
         let bad = ExpandedCommand::new("no-such-cmd", &[]);
         assert_eq!(

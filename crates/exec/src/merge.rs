@@ -2,8 +2,9 @@
 //! output.
 
 use bytes::Bytes;
-use jash_io::{ByteStream, LineBuffer, Sink};
+use jash_io::{ByteStream, CoalescingSink, LineBuffer, Sink};
 use jash_spec::Aggregator;
+use std::cmp::Ordering;
 use std::io;
 
 /// Runs the aggregator over `inputs` (in branch order), writing to `out`.
@@ -13,7 +14,7 @@ pub fn run_merge(
     out: &mut dyn Sink,
 ) -> io::Result<()> {
     // Line-granular aggregators coalesce output into chunk-sized writes.
-    let mut out = Coalescer::new(out);
+    let mut out = CoalescingSink::new(out);
     match agg {
         Aggregator::Concat => concat(inputs, &mut out),
         Aggregator::MergeSort { key } => merge_sort(inputs, &mut out, key),
@@ -25,45 +26,6 @@ pub fn run_merge(
     out.finish()
 }
 
-/// Batches small writes into ~128 KiB chunks before forwarding.
-struct Coalescer<'a> {
-    inner: &'a mut dyn Sink,
-    buf: Vec<u8>,
-}
-
-const COALESCE: usize = 128 * 1024;
-
-impl<'a> Coalescer<'a> {
-    fn new(inner: &'a mut dyn Sink) -> Self {
-        Coalescer {
-            inner,
-            buf: Vec::with_capacity(COALESCE),
-        }
-    }
-}
-
-impl Sink for Coalescer<'_> {
-    fn write_chunk(&mut self, chunk: Bytes) -> io::Result<()> {
-        if chunk.len() >= COALESCE && self.buf.is_empty() {
-            return self.inner.write_chunk(chunk);
-        }
-        self.buf.extend_from_slice(&chunk);
-        if self.buf.len() >= COALESCE {
-            self.inner
-                .write_chunk(Bytes::from(std::mem::take(&mut self.buf)))?;
-        }
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        if !self.buf.is_empty() {
-            self.inner
-                .write_chunk(Bytes::from(std::mem::take(&mut self.buf)))?;
-        }
-        self.inner.finish()
-    }
-}
-
 fn concat(mut inputs: Vec<Box<dyn ByteStream>>, out: &mut dyn Sink) -> io::Result<()> {
     for input in &mut inputs {
         while let Some(chunk) = input.next_chunk()? {
@@ -73,7 +35,8 @@ fn concat(mut inputs: Vec<Box<dyn ByteStream>>, out: &mut dyn Sink) -> io::Resul
     Ok(())
 }
 
-/// A line-buffered reader with one-line lookahead.
+/// A line-buffered reader with one-line lookahead. Lines are slices of the
+/// stream's chunks.
 struct LineReader {
     stream: Box<dyn ByteStream>,
     lb: LineBuffer,
@@ -98,6 +61,15 @@ impl LineReader {
         self.current.as_ref()
     }
 
+    /// Takes the current line and moves to the one after it.
+    fn next(&mut self) -> io::Result<Option<Bytes>> {
+        let line = self.current.take();
+        if line.is_some() {
+            self.advance()?;
+        }
+        Ok(line)
+    }
+
     fn advance(&mut self) -> io::Result<()> {
         loop {
             if let Some(line) = self.lb.next_line() {
@@ -105,22 +77,17 @@ impl LineReader {
                 return Ok(());
             }
             if self.eof {
-                self.current = self.lb.take_rest().map(|mut rest| {
-                    // Normalize a missing trailing newline so comparisons
-                    // and re-emission stay line-shaped.
+                // Normalize a missing trailing newline so comparisons
+                // and re-emission stay line-shaped.
+                self.current = self.lb.take_rest().map(|rest| {
                     let mut v = rest.to_vec();
-                    if !v.ends_with(b"\n") {
-                        v.push(b'\n');
-                    }
-                    rest = Bytes::from(v);
-                    rest
+                    v.push(b'\n');
+                    Bytes::from(v)
                 });
                 return Ok(());
             }
             match self.stream.next_chunk()? {
-                Some(chunk) => {
-                    self.lb.push(&chunk);
-                }
+                Some(chunk) => self.lb.push_bytes(chunk),
                 None => self.eof = true,
             }
         }
@@ -137,7 +104,10 @@ fn merge_sort(
         .into_iter()
         .map(LineReader::new)
         .collect::<io::Result<_>>()?;
-    let mut last: Option<Bytes> = None;
+    // The numeric key of each reader's current line, parsed once.
+    let num = |r: &LineReader| r.peek().map_or(0.0, |l| opts.numeric_value(chomp(l)));
+    let mut nums: Vec<f64> = readers.iter().map(num).collect();
+    let mut last: Option<(Bytes, f64)> = None;
     loop {
         // Pick the smallest current line; ties resolve to the earliest
         // branch (stability).
@@ -145,24 +115,29 @@ fn merge_sort(
         for (i, r) in readers.iter().enumerate() {
             let Some(line) = r.peek() else { continue };
             best = match best {
-                Some((b, bl)) if opts.compare(chomp(line), chomp(bl)) != std::cmp::Ordering::Less => {
-                    Some((b, bl))
+                Some((b, bl))
+                    if opts.compare_with((chomp(line), nums[i]), (chomp(bl), nums[b]))
+                        != Ordering::Less =>
+                {
+                    best
                 }
                 _ => Some((i, line)),
             };
         }
-        let Some((i, line)) = best else { return Ok(()) };
-        let line = line.clone();
-        readers[i].advance()?;
+        let Some((i, _)) = best else { return Ok(()) };
+        let line = readers[i]
+            .next()?
+            .expect("the best reader has a current line");
+        let n = std::mem::replace(&mut nums[i], num(&readers[i]));
         if key.unique {
-            if let Some(prev) = &last {
-                if opts.compare(chomp(prev), chomp(&line)) == std::cmp::Ordering::Equal {
+            if let Some((prev, pn)) = &last {
+                if opts.compare_with((chomp(prev), *pn), (chomp(&line), n)) == Ordering::Equal {
                     continue;
                 }
             }
+            last = Some((line.clone(), n));
         }
-        out.write_chunk(line.clone())?;
-        last = Some(line);
+        out.write_chunk(line)?;
     }
 }
 
@@ -212,8 +187,7 @@ fn uniq_boundary(
     let mut held: Option<Bytes> = None;
     for input in inputs {
         let mut r = LineReader::new(input)?;
-        while let Some(line) = r.peek().cloned() {
-            r.advance()?;
+        while let Some(line) = r.next()? {
             match held.take() {
                 None => held = Some(line),
                 Some(prev) => {
@@ -275,8 +249,7 @@ fn take_first(
         }
         let mut r = LineReader::new(input)?;
         while remaining > 0 {
-            let Some(line) = r.peek().cloned() else { break };
-            r.advance()?;
+            let Some(line) = r.next()? else { break };
             out.write_chunk(line)?;
             remaining -= 1;
         }
@@ -363,6 +336,29 @@ mod tests {
             },
         };
         assert_eq!(merge(&agg, &["9\n5\n1\n", "10\n2\n"]), "10\n9\n5\n2\n1\n");
+    }
+
+    #[test]
+    fn merge_sort_numeric_ties_break_on_bytes_and_stay_stable() {
+        let key = SortKeySpec {
+            numeric: true,
+            ..Default::default()
+        };
+        // "07" and "7" are equal numbers but different lines; equal lines
+        // come out earliest branch first.
+        let parts = ["07\n7\n10\n", "7\n9\n", "07\n"];
+        assert_eq!(
+            merge(&Aggregator::MergeSort { key }, &parts),
+            "07\n07\n7\n7\n9\n10\n"
+        );
+        let key = SortKeySpec {
+            unique: true,
+            ..key
+        };
+        assert_eq!(
+            merge(&Aggregator::MergeSort { key }, &parts),
+            "07\n7\n9\n10\n"
+        );
     }
 
     #[test]

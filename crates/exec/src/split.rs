@@ -12,8 +12,7 @@
 //!   Streams without any size knowledge, but is only sound for
 //!   order-insensitive aggregators (merge-sort with a total order, sums).
 
-use bytes::Bytes;
-use jash_io::{ByteStream, LineBuffer, Sink};
+use jash_io::{ByteStream, Sink};
 use std::io;
 
 /// Lines per round-robin block.
@@ -23,11 +22,11 @@ pub const DEFAULT_BLOCK_LINES: usize = 4096;
 /// bytes, extended to the next line boundary. Each branch's writer is
 /// finished (closed) before the next branch starts, so downstream stages
 /// see EOF as early as possible.
-/// Pending bytes are coalesced into chunks of this size before they hit a
-/// sink, so downstream writers (pipes, and especially disk-charged files
-/// in buffered mode) see file-sized requests rather than one per line.
-const COALESCE_BYTES: usize = 128 * 1024;
-
+///
+/// Per line, the rule is: a line goes to the current branch, after moving
+/// on from every branch (but the last) that already holds its target. The
+/// chunks are forwarded as slices, and a newline is looked for only where
+/// a target falls inside a line.
 pub fn split_contiguous(
     input: &mut dyn ByteStream,
     outputs: &mut [Box<dyn Sink>],
@@ -36,53 +35,36 @@ pub fn split_contiguous(
     debug_assert_eq!(outputs.len(), targets.len());
     let mut branch = 0usize;
     let mut sent: u64 = 0;
-    let mut lb = LineBuffer::new();
-    let mut pending: Vec<u8> = Vec::with_capacity(COALESCE_BYTES);
+    let mut at_line_start = true;
 
-    fn flush(
-        outputs: &mut [Box<dyn Sink>],
-        branch: usize,
-        pending: &mut Vec<u8>,
-    ) -> io::Result<()> {
-        if !pending.is_empty() {
-            outputs[branch].write_chunk(Bytes::from(std::mem::take(pending)))?;
+    while let Some(mut chunk) = input.next_chunk()? {
+        while !chunk.is_empty() {
+            let cut = if branch + 1 == outputs.len() {
+                chunk.len()
+            } else if sent < targets[branch] {
+                // Every byte short of the target is in a line that began
+                // short of it.
+                chunk
+                    .len()
+                    .min((targets[branch] - sent).try_into().unwrap_or(usize::MAX))
+            } else if at_line_start {
+                outputs[branch].finish()?;
+                branch += 1;
+                sent = 0;
+                continue;
+            } else {
+                // The target fell inside this line: the branch ends with it.
+                chunk
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(chunk.len(), |i| i + 1)
+            };
+            at_line_start = chunk[cut - 1] == b'\n';
+            sent += cut as u64;
+            outputs[branch].write_chunk(chunk.slice(..cut))?;
+            chunk = chunk.slice(cut..);
         }
-        Ok(())
     }
-
-    let emit = |outputs: &mut [Box<dyn Sink>],
-                    branch: &mut usize,
-                    sent: &mut u64,
-                    pending: &mut Vec<u8>,
-                    line: Bytes|
-     -> io::Result<()> {
-        // Advance to the next branch once the current one met its target
-        // (never beyond the last branch: it takes the remainder).
-        while *branch + 1 < outputs.len() && *sent >= targets[*branch] {
-            flush(outputs, *branch, pending)?;
-            outputs[*branch].finish()?;
-            *branch += 1;
-            *sent = 0;
-        }
-        *sent += line.len() as u64;
-        pending.extend_from_slice(&line);
-        if pending.len() >= COALESCE_BYTES {
-            flush(outputs, *branch, pending)?;
-        }
-        Ok(())
-    };
-
-    while let Some(chunk) = input.next_chunk()? {
-        lb.push(&chunk);
-        while let Some(line) = lb.next_line() {
-            emit(outputs, &mut branch, &mut sent, &mut pending, line)?;
-        }
-        lb.mark_scanned();
-    }
-    if let Some(rest) = lb.take_rest() {
-        emit(outputs, &mut branch, &mut sent, &mut pending, rest)?;
-    }
-    flush(outputs, branch, &mut pending)?;
     for out in outputs[branch..].iter_mut() {
         out.finish()?;
     }
@@ -95,40 +77,23 @@ pub fn split_round_robin(
     outputs: &mut [Box<dyn Sink>],
     block_lines: usize,
 ) -> io::Result<()> {
-    let width = outputs.len();
-    let mut lb = LineBuffer::new();
     let mut branch = 0usize;
     let mut in_block = 0usize;
-    let mut pending: Vec<u8> = Vec::new();
-
-    let flush = |outputs: &mut [Box<dyn Sink>],
-                     branch: &mut usize,
-                     pending: &mut Vec<u8>|
-     -> io::Result<()> {
-        if !pending.is_empty() {
-            outputs[*branch].write_chunk(Bytes::from(std::mem::take(pending)))?;
-        }
-        *branch = (*branch + 1) % width;
-        Ok(())
-    };
 
     while let Some(chunk) = input.next_chunk()? {
-        lb.push(&chunk);
-        while let Some(line) = lb.next_line() {
-            pending.extend_from_slice(&line);
+        let mut start = 0;
+        for (i, _) in chunk.iter().enumerate().filter(|(_, &b)| b == b'\n') {
             in_block += 1;
             if in_block >= block_lines {
-                flush(outputs, &mut branch, &mut pending)?;
+                outputs[branch].write_chunk(chunk.slice(start..=i))?;
+                branch = (branch + 1) % outputs.len();
                 in_block = 0;
+                start = i + 1;
             }
         }
-        lb.mark_scanned();
-    }
-    if let Some(rest) = lb.take_rest() {
-        pending.extend_from_slice(&rest);
-    }
-    if !pending.is_empty() {
-        flush(outputs, &mut branch, &mut pending)?;
+        if start < chunk.len() {
+            outputs[branch].write_chunk(chunk.slice(start..))?;
+        }
     }
     for out in outputs.iter_mut() {
         out.finish()?;
@@ -151,12 +116,20 @@ pub fn balanced_targets(total: u64, width: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use jash_io::MemStream;
+    use parking_lot::Mutex;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    use std::sync::Arc;
 
-    fn contig(input: &str, targets: &[u64]) -> Vec<String> {
-        let shared: Vec<std::sync::Arc<parking_lot::Mutex<Vec<u8>>>> =
-            targets.iter().map(|_| Default::default()).collect();
-        struct S(std::sync::Arc<parking_lot::Mutex<Vec<u8>>>);
+    /// Runs `split` over `chunks` and `width` collecting sinks; returns
+    /// what each branch received.
+    fn branches(
+        chunks: Vec<Bytes>,
+        width: usize,
+        split: impl FnOnce(&mut dyn ByteStream, &mut [Box<dyn Sink>]) -> io::Result<()>,
+    ) -> Vec<Vec<u8>> {
+        struct S(Arc<Mutex<Vec<u8>>>);
         impl Sink for S {
             fn write_chunk(&mut self, c: Bytes) -> io::Result<()> {
                 self.0.lock().extend_from_slice(&c);
@@ -166,41 +139,117 @@ mod tests {
                 Ok(())
             }
         }
+        let shared: Vec<Arc<Mutex<Vec<u8>>>> = (0..width).map(|_| Default::default()).collect();
         let mut sinks: Vec<Box<dyn Sink>> = shared
             .iter()
             .map(|c| Box::new(S(c.clone())) as Box<dyn Sink>)
             .collect();
-        let mut src = MemStream::from_bytes(input.to_string());
-        split_contiguous(&mut src, &mut sinks, targets).unwrap();
-        shared
-            .iter()
-            .map(|c| String::from_utf8(c.lock().clone()).unwrap())
+        split(&mut MemStream::from_chunks(chunks), &mut sinks).unwrap();
+        shared.iter().map(|c| c.lock().clone()).collect()
+    }
+
+    fn strings(parts: Vec<Vec<u8>>) -> Vec<String> {
+        parts
+            .into_iter()
+            .map(|p| String::from_utf8(p).unwrap())
             .collect()
     }
 
+    fn contig(input: &str, targets: &[u64]) -> Vec<String> {
+        let chunks = vec![Bytes::from(input.to_string())];
+        strings(branches(chunks, targets.len(), |src, sinks| {
+            split_contiguous(src, sinks, targets)
+        }))
+    }
+
     fn rr(input: &str, width: usize, block: usize) -> Vec<String> {
-        let shared: Vec<std::sync::Arc<parking_lot::Mutex<Vec<u8>>>> =
-            (0..width).map(|_| Default::default()).collect();
-        struct S(std::sync::Arc<parking_lot::Mutex<Vec<u8>>>);
-        impl Sink for S {
-            fn write_chunk(&mut self, c: Bytes) -> io::Result<()> {
-                self.0.lock().extend_from_slice(&c);
-                Ok(())
-            }
-            fn finish(&mut self) -> io::Result<()> {
-                Ok(())
-            }
+        let chunks = vec![Bytes::from(input.to_string())];
+        strings(branches(chunks, width, |src, sinks| {
+            split_round_robin(src, sinks, block)
+        }))
+    }
+
+    /// Random short lines (some empty), cut into random chunks.
+    fn random_input(rng: &mut StdRng) -> (Vec<u8>, Vec<Bytes>) {
+        let mut data = Vec::new();
+        for _ in 0..rng.random_range(0..40usize) {
+            data.extend(
+                (0..rng.random_range(0..12usize)).map(|_| b'a' + rng.random_range(0..26u8)),
+            );
+            data.push(b'\n');
         }
-        let mut sinks: Vec<Box<dyn Sink>> = shared
-            .iter()
-            .map(|c| Box::new(S(c.clone())) as Box<dyn Sink>)
-            .collect();
-        let mut src = MemStream::from_bytes(input.to_string());
-        split_round_robin(&mut src, &mut sinks, block).unwrap();
-        shared
-            .iter()
-            .map(|c| String::from_utf8(c.lock().clone()).unwrap())
-            .collect()
+        if rng.random_range(0..3u32) == 0 {
+            data.pop();
+        }
+        let mut chunks = Vec::new();
+        let mut rest = &data[..];
+        while !rest.is_empty() {
+            let (chunk, tail) = rest.split_at(rng.random_range(1..rest.len() + 1).min(24));
+            chunks.push(Bytes::copy_from_slice(chunk));
+            rest = tail;
+        }
+        (data, chunks)
+    }
+
+    #[test]
+    fn contiguous_matches_the_per_line_rule() {
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (data, chunks) = random_input(&mut rng);
+            let lines: Vec<&[u8]> = data.split_inclusive(|&b| b == b'\n').collect();
+            let len = data.len() as u64;
+            let width = rng.random_range(1..6usize);
+            let targets: Vec<u64> = (0..width)
+                .map(|_| match rng.random_range(0..5u32) {
+                    0 => 0,
+                    // Exactly the length of the first few lines.
+                    1 => lines
+                        .iter()
+                        .take(rng.random_range(0..lines.len() + 1))
+                        .map(|l| l.len() as u64)
+                        .sum(),
+                    2 => len + rng.random_range(0..3u64),
+                    // Anywhere, mostly inside a line.
+                    _ => rng.random_range(0..len + 1),
+                })
+                .collect();
+
+            // A line goes to the current branch, after moving on from every
+            // branch but the last that already holds its target.
+            let mut want = vec![Vec::new(); width];
+            let mut branch = 0;
+            for line in &lines {
+                while branch + 1 < width && want[branch].len() as u64 >= targets[branch] {
+                    branch += 1;
+                }
+                want[branch].extend_from_slice(line);
+            }
+            let got = branches(chunks, width, |src, sinks| {
+                split_contiguous(src, sinks, &targets)
+            });
+            assert_eq!(
+                got, want,
+                "seed {seed}, targets {targets:?}, input {data:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn round_robin_matches_the_per_line_rule() {
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (data, chunks) = random_input(&mut rng);
+            let width = rng.random_range(1..5usize);
+            let block = rng.random_range(1..6usize);
+            let mut want = vec![Vec::new(); width];
+            for (i, line) in data.split_inclusive(|&b| b == b'\n').enumerate() {
+                want[i / block % width].extend_from_slice(line);
+            }
+            let got = branches(chunks, width, |src, sinks| {
+                split_round_robin(src, sinks, block)
+            });
+            assert_eq!(got, want, "seed {seed}, block {block}, input {data:?}");
+        }
     }
 
     #[test]

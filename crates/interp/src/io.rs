@@ -68,18 +68,14 @@ impl LineStream {
     /// Reads the next line (without the newline); `None` at EOF.
     pub fn read_line(&mut self) -> io::Result<Option<Vec<u8>>> {
         loop {
-            if let Some(line) = self.lb.next_line() {
-                let mut v = line.to_vec();
-                if v.ends_with(b"\n") {
-                    v.pop();
-                }
-                return Ok(Some(v));
+            if let Some(line) = self.lb.next_line_ref() {
+                return Ok(Some(line[..line.len() - 1].to_vec()));
             }
             if self.eof {
                 return Ok(self.lb.take_rest().map(|b| b.to_vec()));
             }
             match self.stream.next_chunk()? {
-                Some(chunk) => self.lb.push(&chunk),
+                Some(chunk) => self.lb.push_bytes(chunk),
                 None => self.eof = true,
             }
         }

@@ -55,6 +55,16 @@ pub trait Sink: Send {
     fn finish(&mut self) -> io::Result<()>;
 }
 
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn write_chunk(&mut self, chunk: Bytes) -> io::Result<()> {
+        (**self).write_chunk(chunk)
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        (**self).finish()
+    }
+}
+
 impl Sink for Box<dyn Sink> {
     fn write_chunk(&mut self, chunk: Bytes) -> io::Result<()> {
         (**self).write_chunk(chunk)

@@ -60,14 +60,20 @@ impl InstanceSpec {
 /// compiler then treats them as opaque and leaves the pipeline to the
 /// interpreter (the paper's B1 barrier, which user spec files lift).
 pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
-    let file_operands = |skip_flags: bool| -> Vec<usize> {
+    // Indices of the file operands: every argument that is neither a flag
+    // nor the value of one of `value_flags` given as the argument after it
+    // (`-n 3`; `-n3` is one argument and a flag).
+    let file_operands = |value_flags: &[&str]| -> Vec<usize> {
         let mut v = Vec::new();
         let mut past_flags = false;
+        let mut is_value = false;
         for (i, a) in args.iter().enumerate() {
-            if !past_flags && skip_flags && a.starts_with('-') && a.len() > 1 {
-                if a == "--" {
-                    past_flags = true;
-                }
+            if std::mem::take(&mut is_value) {
+                continue;
+            }
+            if !past_flags && a.starts_with('-') && a.len() > 1 {
+                past_flags = a == "--";
+                is_value = value_flags.contains(&a.as_str());
                 continue;
             }
             v.push(i);
@@ -77,7 +83,7 @@ pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
 
     Some(match name {
         "cat" => {
-            let inputs = file_operands(true);
+            let inputs = file_operands(&[]);
             InstanceSpec {
                 reads_stdin: inputs.is_empty() || args.iter().any(|a| a == "-"),
                 input_args: inputs,
@@ -196,7 +202,7 @@ pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
                     agg: Aggregator::MergeSort { key },
                 },
                 reads_stdin: operands.is_empty() || operands.iter().any(|o| o == "-"),
-                input_args: file_operands(true),
+                input_args: file_operands(&["-k", "-t"]),
                 output_files: Vec::new(),
                 blocking: true,
                 prefix_only: false,
@@ -215,7 +221,7 @@ pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
                     class: ParallelClass::Parallelizable {
                         agg: Aggregator::UniqBoundary { counted },
                     },
-                    input_args: file_operands(true),
+                    input_args: file_operands(&[]),
                     ..InstanceSpec::stateless()
                 }
             }
@@ -224,44 +230,44 @@ pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
             class: ParallelClass::Parallelizable {
                 agg: Aggregator::SumCounts,
             },
-            input_args: file_operands(true),
+            input_args: file_operands(&[]),
             blocking: true,
             ..InstanceSpec::stateless()
         },
         "head" => InstanceSpec {
             prefix_only: true,
-            input_args: file_operands(true),
+            input_args: file_operands(&["-n", "-c"]),
             ..InstanceSpec::non_parallel()
         },
         "tail" => InstanceSpec {
             blocking: true,
-            input_args: file_operands(true),
+            input_args: file_operands(&["-n", "-c"]),
             ..InstanceSpec::non_parallel()
         },
         "comm" | "join" => {
             // Two-input relational operators: dataflow nodes, but not
             // splittable without key-range partitioning.
             InstanceSpec {
-                input_args: file_operands(true),
+                input_args: file_operands(&[]),
                 ..InstanceSpec::non_parallel()
             }
         }
         "rev" | "nl" => {
             if name == "nl" {
                 InstanceSpec {
-                    input_args: file_operands(true),
+                    input_args: file_operands(&[]),
                     ..InstanceSpec::non_parallel()
                 }
             } else {
                 InstanceSpec {
-                    input_args: file_operands(true),
+                    input_args: file_operands(&[]),
                     ..InstanceSpec::stateless()
                 }
             }
         }
         "tac" | "shuf" | "paste" => InstanceSpec {
             blocking: true,
-            input_args: file_operands(true),
+            input_args: file_operands(&[]),
             ..InstanceSpec::non_parallel()
         },
         "seq" | "echo" | "printf" => InstanceSpec {
@@ -387,6 +393,31 @@ mod tests {
         let s = resolve_builtin("head", &args(&["-n1"])).unwrap();
         assert!(s.prefix_only);
         assert!(!s.class.is_splittable());
+    }
+
+    #[test]
+    fn separate_option_values_are_not_input_files() {
+        for (cmd, joined, split) in [
+            ("head", &["-n3", "f"][..], &["-n", "3", "f"][..]),
+            ("head", &["-c3", "f"], &["-c", "3", "f"]),
+            ("tail", &["-n3", "f"], &["-n", "3", "f"]),
+            ("sort", &["-k2", "f"], &["-k", "2", "f"]),
+            ("sort", &["-t:", "f"], &["-t", ":", "f"]),
+        ] {
+            let s = resolve_builtin(cmd, &args(joined)).unwrap();
+            assert_eq!(s.input_args, vec![1], "{cmd} {joined:?}");
+            let s = resolve_builtin(cmd, &args(split)).unwrap();
+            assert_eq!(s.input_args, vec![2], "{cmd} {split:?}");
+            // Without a file operand, neither spelling names an input.
+            for spelling in [&joined[..1], &split[..2]] {
+                let s = resolve_builtin(cmd, &args(spelling)).unwrap();
+                assert_eq!(s.input_args, Vec::<usize>::new(), "{cmd} {spelling:?}");
+                assert!(s.reads_stdin);
+            }
+        }
+        // After `--` everything is an operand, dashes or not.
+        let s = resolve_builtin("head", &args(&["-n", "3", "--", "-n"])).unwrap();
+        assert_eq!(s.input_args, vec![3]);
     }
 
     #[test]
