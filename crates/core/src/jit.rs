@@ -27,7 +27,7 @@ use jash_expand::ShellState;
 use jash_interp::{Flow, InputBinding, InterpError, Interpreter, PipelineJit, RunResult, ShellIo};
 use jash_io::journal::JournalRecord;
 use jash_io::memo::Entry;
-use jash_io::{fnv1a, FsHandle, Journal, Memo};
+use jash_io::{FsHandle, Journal, Memo};
 use jash_trace::{AttrValue, SpanId, Tracer, DEFAULT_TIME_BOUNDS_US};
 use std::collections::HashMap;
 use std::io;
@@ -236,7 +236,9 @@ impl Jash {
         // (region aborted); catch that too so the journal stays open.
         shut_down = shut_down || self.shutdown_status().is_some();
         if !shut_down {
-            if let Some(journal) = &self.journal {
+            // A run whose `RunStart` is still deferred journaled nothing
+            // and has nothing to complete.
+            if let Some(journal) = self.journal.as_ref().filter(|j| !j.has_deferred()) {
                 let _ = journal.append(&JournalRecord::RunComplete);
             }
         }
@@ -410,9 +412,19 @@ impl JitCore {
             self.resume = plan;
         }
         let journal = Journal::open(Arc::clone(fs), &journal_path, self.durable);
-        journal.append(&JournalRecord::RunStart {
+        let start = JournalRecord::RunStart {
             epoch: report.epoch,
-        })?;
+        };
+        if fs.exists(&journal_path) {
+            // An interrupted predecessor's epoch is superseded now.
+            journal.append(&start)?;
+        } else {
+            // Nothing to supersede: `RunStart` rides ahead of the first
+            // record that follows, under that record's barrier. Staging
+            // debris can only exist after a `RegionStart`, so a run that
+            // never journals is one recovery has nothing to do for.
+            journal.defer(start);
+        }
         self.journal = Some(Arc::new(journal));
         self.memo =
             Some(Memo::new(Arc::clone(fs), format!("{dir}/memo")).with_durable(self.durable));
@@ -872,12 +884,14 @@ impl JitCore {
     ) {
         if outcome.status == 0 {
             if let Some(memo) = &self.memo {
-                if let Ok(input) = recovery::read_region_input(&state.fs, src_region) {
+                if let Ok((input_len, input_hash)) =
+                    recovery::region_input_digest(&state.fs, src_region)
+                {
                     let _ = memo.put(
                         fp,
                         &Entry {
-                            input_len: input.len() as u64,
-                            input_hash: fnv1a(&input),
+                            input_len,
+                            input_hash,
                             output: outcome.stdout.clone(),
                         },
                     );
@@ -927,11 +941,9 @@ impl JitCore {
             self.trace_counter("memo.misses");
             return Ok(None);
         };
-        let Ok(input) = recovery::read_region_input(&state.fs, src_region) else {
-            self.trace_counter("memo.misses");
-            return Ok(None);
-        };
-        if entry.input_len != input.len() as u64 || entry.input_hash != fnv1a(&input) {
+        if recovery::region_input_digest(&state.fs, src_region).ok()
+            != Some((entry.input_len, entry.input_hash))
+        {
             self.trace_counter("memo.misses");
             return Ok(None);
         }

@@ -797,4 +797,74 @@ echo loop-done $f $?
         assert_eq!(shell.plan_cache.misses, 2);
         assert_eq!(shell.plan_cache.hits, 2);
     }
+
+    /// Runs `src` with a journal attached under `/.jash` and returns what
+    /// attach reported. The default planner declines tiny inputs, so only
+    /// an `eager` run has optimized regions.
+    fn run_journaled(fs: &FsHandle, src: &str, eager_plans: bool) -> RecoveryReport {
+        let mut shell = Jash::new(Engine::JashJit, machine());
+        if eager_plans {
+            shell.planner = eager();
+        }
+        let report = shell.attach_journal(fs, "/.jash", false).unwrap();
+        let mut state = ShellState::new(std::sync::Arc::clone(fs));
+        assert_eq!(shell.run_script(&mut state, src).unwrap().status, 0);
+        report
+    }
+
+    #[test]
+    fn a_run_without_an_optimized_region_writes_no_journal() {
+        let fs = fs_with(&[("/in", "b\na\n")]);
+        for _ in 0..2 {
+            let report = run_journaled(&fs, "echo hi; x=1; cat /in | sort", false);
+            assert!(!report.interrupted, "a region-less run is not an interruption");
+            assert!(!fs.exists("/.jash/journal"));
+        }
+    }
+
+    #[test]
+    fn a_region_journals_run_start_with_its_first_record_in_order() {
+        use jash_io::JournalRecord as R;
+        let fs = fs_with(&[("/in", &"Zebra Apple\n".repeat(400))]);
+        run_journaled(&fs, "cat /in | tr A-Z a-z | sort > /out", true);
+        let replay = jash_io::Journal::replay(fs.as_ref(), "/.jash/journal").unwrap();
+        assert!(
+            matches!(
+                &replay.records[..],
+                [
+                    R::RunStart { epoch: 1 },
+                    R::RegionStart { .. },
+                    R::StageCommitted { path },
+                    R::RegionDone { clean: true, status: 0, .. },
+                    R::RunComplete,
+                ] if path == "/out"
+            ),
+            "{:?}",
+            replay.records
+        );
+    }
+
+    #[test]
+    fn attach_over_an_interrupted_journal_opens_the_new_epoch_eagerly() {
+        use jash_io::JournalRecord as R;
+        let fs = fs_with(&[("/in", "b\na\n")]);
+        let dead = jash_io::Journal::open(std::sync::Arc::clone(&fs), "/.jash/journal", false);
+        dead.append(&R::RunStart { epoch: 1 }).unwrap();
+        dead.append(&R::RegionStart {
+            fingerprint: 7,
+            inputs: vec!["/in".into()],
+        })
+        .unwrap();
+        // The successor journals nothing itself, yet its epoch is on
+        // record from attach on, and it completes it.
+        let report = run_journaled(&fs, "echo hi", false);
+        assert!(report.interrupted);
+        assert_eq!(report.epoch, 2);
+        let replay = jash_io::Journal::replay(fs.as_ref(), "/.jash/journal").unwrap();
+        assert_eq!(
+            replay.records[2..],
+            [R::RunStart { epoch: 2 }, R::RunComplete]
+        );
+        assert!(!run_journaled(&fs, "echo hi", false).interrupted);
+    }
 }

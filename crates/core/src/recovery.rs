@@ -210,25 +210,20 @@ pub fn scan_journal(replay: &Replay) -> (RecoveryReport, Option<ResumePlan>) {
     (report, plan)
 }
 
-/// Concatenated contents of the region's input files: the declared stdin
-/// redirect of the first stage, then `cat` operands. This is the byte
-/// stream the memo's `input_hash` fingerprints — shared between the
-/// incremental runner and resume verification so the two can never
-/// disagree about what "the input" is.
-pub fn read_region_input(fs: &FsHandle, region: &Region) -> io::Result<Vec<u8>> {
-    let mut input = Vec::new();
-    let Some(first) = region.commands.first() else {
-        return Ok(input);
-    };
-    if let Some(p) = &first.stdin_redirect {
-        input.extend(jash_io::fs::read_to_vec(fs.as_ref(), p)?);
-    }
-    if first.name == "cat" {
-        for a in first.args.iter().filter(|a| !a.starts_with('-')) {
-            input.extend(jash_io::fs::read_to_vec(fs.as_ref(), a)?);
+/// Length and FNV-1a of the region's input — its [`region_input_paths`]
+/// concatenated — folded chunk by chunk so the input is never held in
+/// memory. This is what the memo's `input_len`/`input_hash` fingerprint,
+/// at checkpoint and again at resume verification.
+pub fn region_input_digest(fs: &FsHandle, region: &Region) -> io::Result<(u64, u64)> {
+    let (mut len, mut hash) = (0u64, jash_io::FNV1A_INIT);
+    for path in region_input_paths(region) {
+        let mut file = fs.open_read(&path)?;
+        while let Some(chunk) = file.read_chunk(jash_io::DEFAULT_CHUNK)? {
+            len += chunk.len() as u64;
+            hash = jash_io::fnv1a_fold(hash, &chunk);
         }
     }
-    Ok(input)
+    Ok((len, hash))
 }
 
 /// Best-effort recursive removal of `dir` and everything under it.
@@ -544,6 +539,51 @@ mod tests {
         assert!(plan.take(8).is_none());
         assert!(plan.take(9).is_none());
         assert_eq!(plan.remaining(), 0);
+    }
+
+    #[test]
+    fn region_input_digest_matches_the_concatenated_bytes() {
+        use jash_dataflow::ExpandedCommand;
+        let fs = jash_io::mem_fs();
+        // More than one 128 KiB chunk, with a ragged tail.
+        let big: Vec<u8> = (0..300_001u32).map(|i| (i % 251) as u8).collect();
+        for (p, c) in [("/empty", &b""[..]), ("/small", b"b\na\n"), ("/big", &big)] {
+            jash_io::fs::write_file(fs.as_ref(), p, c).unwrap();
+        }
+        let stage = |name: &str, args: &[&str], stdin: Option<&str>| {
+            let mut c = ExpandedCommand::new(name, args);
+            c.stdin_redirect = stdin.map(str::to_string);
+            c
+        };
+        let cases: [(ExpandedCommand, Vec<&[u8]>); 5] = [
+            (stage("sort", &[], Some("/big")), vec![&big]),
+            (stage("sort", &[], Some("/empty")), vec![]),
+            (
+                stage("cat", &["/small", "/big"], None),
+                vec![b"b\na\n", &big],
+            ),
+            (
+                stage("cat", &["-n", "/empty", "/small"], Some("/big")),
+                vec![&big, b"b\na\n"],
+            ),
+            // Only a leading `cat` reads its operands as region input.
+            (stage("grep", &["/small"], None), vec![]),
+        ];
+        for (first, parts) in cases {
+            let region = Region {
+                commands: vec![first.clone(), ExpandedCommand::new("wc", &["-l"])],
+            };
+            let bytes = parts.concat();
+            assert_eq!(
+                region_input_digest(&fs, &region).unwrap(),
+                (bytes.len() as u64, jash_io::fnv1a(&bytes)),
+                "{first:?}"
+            );
+        }
+        let missing = Region {
+            commands: vec![stage("cat", &["/nope"], None)],
+        };
+        assert!(region_input_digest(&fs, &missing).is_err());
     }
 
     #[test]

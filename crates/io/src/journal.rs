@@ -18,8 +18,10 @@
 //! `cat` — in a shell runtime, being shell-debuggable is a feature.
 
 use crate::fs::Fs;
-use crate::memo::fnv1a;
+pub use crate::recordlog::parent_dir;
+use crate::recordlog::{escape, unescape, RecordLog};
 use crate::FsHandle;
+use parking_lot::Mutex;
 use std::io;
 
 /// One journal record.
@@ -132,40 +134,6 @@ impl JournalRecord {
     }
 }
 
-/// Percent-encodes the bytes that would break the line/field framing.
-/// Shared with the serve admission ledger ([`crate::ledger`]), which
-/// rides the same line format.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b' ' => out.push_str("%20"),
-            b'\n' => out.push_str("%0A"),
-            b'%' => out.push_str("%25"),
-            _ => out.push(b as char),
-        }
-    }
-    out
-}
-
-pub(crate) fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' && i + 3 <= bytes.len() {
-            if let Ok(v) = u8::from_str_radix(&s[i + 1..i + 3], 16) {
-                out.push(v as char);
-                i += 3;
-                continue;
-            }
-        }
-        out.push(bytes[i] as char);
-        i += 1;
-    }
-    out
-}
-
 /// The result of replaying a journal file.
 #[derive(Debug, Clone, Default)]
 pub struct Replay {
@@ -198,50 +166,48 @@ impl Replay {
 /// An append-only, checksummed record stream on a virtual filesystem.
 ///
 /// Every append writes one framed record and — when `durable` — fsyncs
-/// the journal file and its parent directory, so a record that replay
-/// returns was really on stable storage before the execution it gates.
+/// the journal file (and its parent directory when the append created
+/// it), so a record that replay returns was really on stable storage
+/// before the execution it gates.
 pub struct Journal {
-    fs: FsHandle,
-    path: String,
-    durable: bool,
-    fsyncs: std::sync::atomic::AtomicU64,
+    log: RecordLog,
+    /// Held back by [`Journal::defer`]; the lock keeps a write from overtaking it.
+    deferred: Mutex<Option<JournalRecord>>,
 }
 
 impl Journal {
     /// Opens (or creates on first append) a journal at `path`.
     pub fn open(fs: FsHandle, path: impl Into<String>, durable: bool) -> Self {
         Journal {
-            fs,
-            path: path.into(),
-            durable,
-            fsyncs: std::sync::atomic::AtomicU64::new(0),
+            log: RecordLog::open(fs, path.into(), durable),
+            deferred: Mutex::new(None),
         }
-    }
-
-    /// The journal's file path.
-    pub fn path(&self) -> &str {
-        &self.path
     }
 
     /// How many fsync barriers (file + directory) this journal has
     /// issued — the durability cost observability reports per run.
     pub fn fsyncs(&self) -> u64 {
-        self.fsyncs.load(std::sync::atomic::Ordering::Relaxed)
+        self.log.fsyncs()
+    }
+
+    /// Holds `record` back until the next [`Journal::append`], which
+    /// writes it ahead of its own record, in one write under one barrier.
+    pub fn defer(&self, record: JournalRecord) {
+        *self.deferred.lock() = Some(record);
+    }
+
+    /// Whether a deferred record is still waiting for an append.
+    pub fn has_deferred(&self) -> bool {
+        self.deferred.lock().is_some()
     }
 
     /// Appends one record, durably when the journal is durable.
     pub fn append(&self, record: &JournalRecord) -> io::Result<()> {
-        let payload = record.encode();
-        let line = format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
-        let mut h = self.fs.open_write(&self.path, true)?;
-        h.write_all(line.as_bytes())?;
-        drop(h);
-        if self.durable {
-            self.fs.sync(&self.path)?;
-            self.fs.sync_dir(parent_dir(&self.path))?;
-            self.fsyncs
-                .fetch_add(2, std::sync::atomic::Ordering::Relaxed);
-        }
+        let mut deferred = self.deferred.lock();
+        let mut payloads: Vec<String> = deferred.iter().map(JournalRecord::encode).collect();
+        payloads.push(record.encode());
+        self.log.append(&payloads)?;
+        *deferred = None;
         Ok(())
     }
 
@@ -250,50 +216,16 @@ impl Journal {
     /// line without a trailing newline, with a checksum mismatch, or
     /// otherwise unparsable — everything from there on is untrusted.
     pub fn replay(fs: &dyn Fs, path: &str) -> io::Result<Replay> {
-        let mut replay = Replay::default();
-        if !fs.exists(path) {
-            return Ok(replay);
-        }
-        let raw = crate::fs::read_to_vec(fs, path)?;
-        let text = String::from_utf8_lossy(&raw);
-        let mut rest = text.as_ref();
-        while !rest.is_empty() {
-            let Some(nl) = rest.find('\n') else {
-                // A crash mid-append leaves a final line with no newline.
-                replay.torn_tail = true;
-                break;
-            };
-            let line = &rest[..nl];
-            rest = &rest[nl + 1..];
-            let parsed = line.split_once(' ').and_then(|(crc, payload)| {
-                let crc = u64::from_str_radix(crc, 16).ok()?;
-                if crc != fnv1a(payload.as_bytes()) {
-                    return None;
-                }
-                JournalRecord::decode(payload)
-            });
-            match parsed {
-                Some(r) => {
-                    if let JournalRecord::RunStart { epoch } = r {
-                        replay.last_epoch = replay.last_epoch.max(epoch);
-                    }
-                    replay.records.push(r);
-                }
-                None => {
-                    replay.torn_tail = true;
-                    break;
-                }
-            }
-        }
-        Ok(replay)
-    }
-}
-
-/// The parent directory of a normalized virtual path.
-pub fn parent_dir(path: &str) -> &str {
-    match path.trim_end_matches('/').rfind('/') {
-        Some(0) | None => "/",
-        Some(i) => &path[..i],
+        let (records, torn_tail) = RecordLog::replay(fs, path, JournalRecord::decode)?;
+        let last_epoch = records.iter().fold(0, |last, r| match r {
+            JournalRecord::RunStart { epoch } => last.max(*epoch),
+            _ => last,
+        });
+        Ok(Replay {
+            records,
+            torn_tail,
+            last_epoch,
+        })
     }
 }
 
@@ -405,6 +337,31 @@ mod tests {
     }
 
     #[test]
+    fn deferred_record_rides_ahead_of_the_next_append_under_one_barrier() {
+        let mem = std::sync::Arc::new(crate::MemFs::new());
+        let fs: FsHandle = std::sync::Arc::clone(&mem) as FsHandle;
+        let j = Journal::open(std::sync::Arc::clone(&fs), "/.jash/journal", true);
+        j.defer(JournalRecord::RunStart { epoch: 4 });
+        assert!(j.has_deferred());
+        assert!(!fs.exists("/.jash/journal"), "deferring writes nothing");
+        assert_eq!(mem.sync_count(), 0);
+        j.append(&JournalRecord::RunComplete).unwrap();
+        assert!(!j.has_deferred());
+        assert_eq!(j.fsyncs(), 2, "both records under the creating append");
+        j.append(&JournalRecord::RunComplete).unwrap();
+        let r = Journal::replay(fs.as_ref(), "/.jash/journal").unwrap();
+        assert_eq!(
+            r.records,
+            vec![
+                JournalRecord::RunStart { epoch: 4 },
+                JournalRecord::RunComplete,
+                JournalRecord::RunComplete,
+            ]
+        );
+        assert_eq!(r.last_epoch, 4);
+    }
+
+    #[test]
     fn durable_appends_sync_file_and_directory() {
         let mem = std::sync::Arc::new(crate::MemFs::new());
         let fs: FsHandle = std::sync::Arc::clone(&mem) as FsHandle;
@@ -417,12 +374,5 @@ mod tests {
         scratch.append(&JournalRecord::RunComplete).unwrap();
         assert_eq!(mem.sync_count(), before, "non-durable journal never syncs");
         assert_eq!(scratch.fsyncs(), 0);
-    }
-
-    #[test]
-    fn parent_dirs() {
-        assert_eq!(parent_dir("/a/b/c"), "/a/b");
-        assert_eq!(parent_dir("/a"), "/");
-        assert_eq!(parent_dir("/"), "/");
     }
 }

@@ -20,8 +20,8 @@
 //! `cat`-debuggable on purpose.
 
 use crate::fs::Fs;
-use crate::journal::{escape, parent_dir, unescape};
 use crate::memo::fnv1a;
+use crate::recordlog::{escape, unescape, RecordLog};
 use crate::FsHandle;
 use std::collections::HashMap;
 use std::io;
@@ -125,75 +125,30 @@ pub struct LedgerReplay {
 
 /// An append-only checksummed admission ledger on a virtual filesystem.
 /// Same durability contract as [`crate::Journal`]: when `durable`, every
-/// append fsyncs the file and its parent directory.
+/// append fsyncs the file, and its parent directory when the append
+/// created it.
 pub struct Ledger {
-    fs: FsHandle,
-    path: String,
-    durable: bool,
+    log: RecordLog,
 }
 
 impl Ledger {
     /// Opens (or creates on first append) a ledger at `path`.
     pub fn open(fs: FsHandle, path: impl Into<String>, durable: bool) -> Ledger {
         Ledger {
-            fs,
-            path: path.into(),
-            durable,
+            log: RecordLog::open(fs, path.into(), durable),
         }
-    }
-
-    /// The ledger's file path.
-    pub fn path(&self) -> &str {
-        &self.path
     }
 
     /// Appends one record, durably when the ledger is durable.
     pub fn append(&self, record: &LedgerRecord) -> io::Result<()> {
-        let payload = record.encode();
-        let line = format!("{:016x} {payload}\n", fnv1a(payload.as_bytes()));
-        let mut h = self.fs.open_write(&self.path, true)?;
-        h.write_all(line.as_bytes())?;
-        drop(h);
-        if self.durable {
-            self.fs.sync(&self.path)?;
-            self.fs.sync_dir(parent_dir(&self.path))?;
-        }
-        Ok(())
+        self.log.append(&[record.encode()])
     }
 
     /// Replays the ledger at `path`. A missing file is an empty replay.
     /// Parsing stops at the first torn or checksum-corrupt line.
     pub fn replay(fs: &dyn Fs, path: &str) -> io::Result<LedgerReplay> {
-        let mut replay = LedgerReplay::default();
-        if !fs.exists(path) {
-            return Ok(replay);
-        }
-        let raw = crate::fs::read_to_vec(fs, path)?;
-        let text = String::from_utf8_lossy(&raw);
-        let mut rest = text.as_ref();
-        while !rest.is_empty() {
-            let Some(nl) = rest.find('\n') else {
-                replay.torn_tail = true;
-                break;
-            };
-            let line = &rest[..nl];
-            rest = &rest[nl + 1..];
-            let parsed = line.split_once(' ').and_then(|(crc, payload)| {
-                let crc = u64::from_str_radix(crc, 16).ok()?;
-                if crc != fnv1a(payload.as_bytes()) {
-                    return None;
-                }
-                LedgerRecord::decode(payload)
-            });
-            match parsed {
-                Some(r) => replay.records.push(r),
-                None => {
-                    replay.torn_tail = true;
-                    break;
-                }
-            }
-        }
-        Ok(replay)
+        let (records, torn_tail) = RecordLog::replay(fs, path, LedgerRecord::decode)?;
+        Ok(LedgerReplay { records, torn_tail })
     }
 }
 

@@ -21,6 +21,7 @@ pub mod ledger;
 pub mod lines;
 pub mod memo;
 pub mod pipe;
+mod recordlog;
 pub mod stream;
 pub mod tempdir;
 
@@ -32,7 +33,7 @@ pub use fault::{FaultFs, FaultPlan, FaultStream};
 pub use fs::{FileMeta, Fs, MemFs, RealFs};
 pub use journal::{Journal, JournalRecord, Replay};
 pub use ledger::{Ledger, LedgerRecord, LedgerReplay, LedgerState};
-pub use memo::{fnv1a, Memo};
+pub use memo::{fnv1a, fnv1a_fold, Memo, FNV1A_INIT};
 pub use lines::{split_lines, LineBuffer};
 pub use pipe::{pipe, pipe_with, PipeHooks, PipeReader, PipeWriter, DEFAULT_PIPE_DEPTH};
 pub use stream::{

@@ -15,7 +15,17 @@ use std::io;
 /// and a length match). Also the per-record checksum of the execution
 /// journal ([`crate::journal`]).
 pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(FNV1A_INIT, data)
+}
+
+/// The FNV-1a state of the empty input: where a chunk-by-chunk fold with
+/// [`fnv1a_fold`] starts.
+pub const FNV1A_INIT: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `data` into the running FNV-1a state `h`. Folding the chunks of
+/// an input in order from [`FNV1A_INIT`] yields [`fnv1a`] of their
+/// concatenation, so an input can be fingerprinted without being held.
+pub fn fnv1a_fold(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -139,6 +149,15 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
+
+    #[test]
+    fn chunked_fold_equals_the_one_shot_hash() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 251) as u8).collect();
+        for cut in [0, 1, 499, 1000] {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(fnv1a_fold(fnv1a_fold(FNV1A_INIT, a), b), fnv1a(&data));
+        }
     }
 
     #[test]

@@ -41,9 +41,10 @@
 //! * **Deadlines** — a per-run [`DeadlineGuard`] cancels the run's token
 //!   with the `deadline:` reason; the session layer aborts the region,
 //!   journals `RegionAborted`, and surfaces exit 124.
-//! * **Disconnect detection** — a monitor thread reads the client's half
-//!   of the socket; EOF before `Done` cancels the orphaned run and frees
-//!   its worker slot for queued submissions.
+//! * **Disconnect detection** — a monitor thread blocks reading the
+//!   client's half of the socket; EOF before `Done` cancels the orphaned
+//!   run and frees its worker slot (after `Done`, EOF is the reply path's
+//!   own socket shutdown releasing the monitor).
 //! * **Panic isolation** — the run executes under `catch_unwind`
 //!   (defense in depth over the executor's own per-node isolation): a
 //!   panicking run reports status 125 to its client and the daemon keeps
@@ -363,6 +364,19 @@ struct Gate {
 }
 
 impl Gate {
+    /// Appends `run_id`'s terminal record to the ledger, when there is
+    /// one. Best-effort: a run without its `Done` is an orphan the next
+    /// start finalizes again, never a lost promise.
+    fn ledger_done(&self, run_id: u64, status: i32, aborted: Option<String>) {
+        if let Some(ledger) = &self.ledger {
+            let _ = ledger.append(&LedgerRecord::Done {
+                run_id,
+                status,
+                aborted,
+            });
+        }
+    }
+
     /// Records a finished keyed run in the replay cache, evicting the
     /// oldest entry (cache row, key mapping, result blobs) past the cap.
     fn cache_result(&mut self, cfg: &ServerConfig, run_id: u64, key: &str, term: Arc<Terminal>) {
@@ -488,7 +502,7 @@ struct Shared {
 /// [`Server::drain`].
 pub struct Server {
     shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    accept: std::thread::JoinHandle<()>,
     workers: Vec<std::thread::JoinHandle<()>>,
     recovery: ServeRecovery,
 }
@@ -524,9 +538,6 @@ impl Server {
         // A stale socket file from a dead daemon refuses the bind.
         let _ = std::fs::remove_file(&cfg.socket);
         let listener = UnixListener::bind(&cfg.socket)?;
-        // Nonblocking accept + short poll, so drain can stop the loop
-        // without a wake-up connection or platform-specific tricks.
-        listener.set_nonblocking(true)?;
         let mut sched = Scheduler::new(cfg.tenant_default);
         for (name, policy) in &cfg.tenants {
             sched.set_policy(name, *policy);
@@ -583,7 +594,7 @@ impl Server {
             .collect();
         Ok(Server {
             shared,
-            accept: Some(accept),
+            accept,
             workers,
             recovery,
         })
@@ -691,8 +702,11 @@ impl Server {
                 gate = g;
             }
         };
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // The accept loop re-checks `draining` after every accept, so a
+        // successful connect has woken it. After a failed one (socket file
+        // unlinked) nothing can reach it: detach it rather than join.
+        if UnixStream::connect(&shared.cfg.socket).is_ok() {
+            let _ = self.accept.join();
         }
         if stragglers == 0 {
             for h in self.workers.drain(..) {
@@ -740,20 +754,20 @@ impl Shared {
     }
 }
 
+/// Blocks in `accept()`; [`Server::drain`] sets `draining`, then connects
+/// once to wake it. The last accept — the wake-up, or a client that raced
+/// it — still goes through `intake`, which tells the two apart.
 fn accept_loop(shared: &Arc<Shared>, listener: &UnixListener) {
-    loop {
-        if shared.gate.lock().unwrap().draining {
-            return;
-        }
-        match listener.accept() {
+    let mut draining = false;
+    while !draining {
+        let accepted = listener.accept();
+        draining = shared.gate.lock().unwrap().draining;
+        match accepted {
             Ok((conn, _addr)) => {
                 let shared = Arc::clone(shared);
                 // Intake runs off-thread: reading the submit frame from
                 // a slow client must not block the accept loop.
                 std::thread::spawn(move || intake(&shared, conn));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
@@ -770,36 +784,8 @@ fn intake(shared: &Arc<Shared>, mut conn: UnixStream) {
     // timeout rides the connection into the worker and waiter paths).
     let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = conn.set_write_timeout(Some(shared.cfg.write_stall));
-    let submit = match proto::read_frame(&mut conn) {
-        Ok(Some(f @ Frame::Submit { .. })) => f,
-        _ => {
-            let mut gate = shared.gate.lock().unwrap();
-            gate.stats.rejected_malformed += 1;
-            let (active, queued) = (gate.active as u32, gate.sched.queued_total() as u32);
-            drop(gate);
-            let _ = proto::write_frame(
-                &mut conn,
-                &Frame::Rejected {
-                    code: reject::MALFORMED,
-                    active,
-                    queued,
-                    reason: "expected a Submit frame".to_string(),
-                },
-            );
-            return;
-        }
-    };
+    let frame = proto::read_frame(&mut conn);
     let _ = conn.set_read_timeout(None);
-    let Frame::Submit {
-        script,
-        timeout_ms,
-        tenant,
-        key,
-        fault,
-    } = submit
-    else {
-        unreachable!("matched Submit above");
-    };
 
     let mut gate = shared.gate.lock().unwrap();
     let reject_with = |code: u8, reason: String, gate: &Gate, conn: &mut UnixStream| {
@@ -810,6 +796,23 @@ fn intake(shared: &Arc<Shared>, mut conn: UnixStream) {
             reason,
         };
         let _ = proto::write_frame(conn, &frame);
+    };
+    let Ok(Some(Frame::Submit {
+        script,
+        timeout_ms,
+        tenant,
+        key,
+        fault,
+    })) = frame
+    else {
+        // `drain()`'s wake-up connection says nothing and reads nothing:
+        // not a submission, malformed or otherwise.
+        if !(gate.draining && matches!(frame, Ok(None))) {
+            gate.stats.rejected_malformed += 1;
+            let reason = "expected a Submit frame".to_string();
+            reject_with(reject::MALFORMED, reason, &gate, &mut conn);
+        }
+        return;
     };
     if gate.draining {
         gate.stats.rejected_draining += 1;
@@ -938,11 +941,7 @@ fn intake(shared: &Arc<Shared>, mut conn: UnixStream) {
             // still have persisted a full line, and a best-effort Done
             // closes it against a restart re-executing a run whose
             // client heard `Rejected`.
-            let _ = ledger.append(&LedgerRecord::Done {
-                run_id,
-                status: 1,
-                aborted: Some("admission ledger write failed".to_string()),
-            });
+            gate.ledger_done(run_id, 1, Some("admission ledger write failed".to_string()));
             if probe {
                 account_mut(&mut gate, &shared.cfg, &tenant).probing = false;
             }
@@ -966,13 +965,7 @@ fn intake(shared: &Arc<Shared>, mut conn: UnixStream) {
         // already ledgered, so close it out: without a terminal record a
         // restart would execute a run whose client never heard
         // `Accepted`.
-        if let Some(ledger) = &gate.ledger {
-            let _ = ledger.append(&LedgerRecord::Done {
-                run_id,
-                status: 1,
-                aborted: Some("client vanished before accept".to_string()),
-            });
-        }
+        gate.ledger_done(run_id, 1, Some("client vanished before accept".to_string()));
         if gate.keys.get(&key) == Some(&run_id) {
             gate.keys.remove(&key);
         }
@@ -1052,46 +1045,28 @@ fn run_job(shared: &Arc<Shared>, job: Job, waited: Duration) {
     let _deadline = limit.map(|d| DeadlineGuard::arm(&token, d));
 
     // Disconnect detection: the client sends nothing after Submit, so
-    // any read completing with 0 bytes means the peer closed. The
-    // monitor polls with a short read timeout and stands down once the
-    // run is done. *Keyed* runs skip the monitor entirely: the key is
-    // the client's declared intent to return (reconnect-and-attach or
-    // replay), so a vanished client must not cancel the work.
+    // the monitor's blocking read returns when the peer closes — or when
+    // this function shuts the socket down on its way out, which releases
+    // it. *Keyed* runs skip the monitor entirely: the key is the client's
+    // declared intent to return (reconnect-and-attach or replay), so a
+    // vanished client must not cancel the work.
     let done = Arc::new(AtomicBool::new(false));
-    if let (true, Ok(reader)) = (job.key.is_empty(), job.conn.try_clone()) {
+    if let (true, Ok(mut reader)) = (job.key.is_empty(), job.conn.try_clone()) {
         let done = Arc::clone(&done);
         let token = token.clone();
         let shared = Arc::clone(shared);
         std::thread::spawn(move || {
-            let mut reader = reader;
-            let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
             let mut scratch = [0u8; 64];
             loop {
-                if done.load(Ordering::SeqCst) {
-                    return;
-                }
                 match io::Read::read(&mut reader, &mut scratch) {
-                    Ok(0) => {
-                        if !done.load(Ordering::SeqCst) {
-                            token.cancel("client disconnected");
-                            shared.gate.lock().unwrap().stats.disconnect_cancels += 1;
-                        }
-                        return;
-                    }
-                    Ok(_) => {} // Extra client bytes are ignored.
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                        ) => {}
-                    Err(_) => {
-                        if !done.load(Ordering::SeqCst) {
-                            token.cancel("client disconnected");
-                            shared.gate.lock().unwrap().stats.disconnect_cancels += 1;
-                        }
-                        return;
-                    }
+                    Ok(1..) => {} // Extra client bytes are ignored.
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    _ => break,
                 }
+            }
+            if !done.load(Ordering::SeqCst) {
+                token.cancel("client disconnected");
+                shared.gate.lock().unwrap().stats.disconnect_cancels += 1;
             }
         });
     }
@@ -1119,6 +1094,7 @@ fn run_job(shared: &Arc<Shared>, job: Job, waited: Duration) {
                         reason: format!("unparseable fault spec: {spec}"),
                     },
                 );
+                let _ = conn.shutdown(std::net::Shutdown::Both);
                 return;
             }
         }
@@ -1261,13 +1237,7 @@ fn run_job(shared: &Arc<Shared>, job: Job, waited: Duration) {
     }
     let waiters = {
         let mut gate = shared.gate.lock().unwrap();
-        if let Some(ledger) = &gate.ledger {
-            let _ = ledger.append(&LedgerRecord::Done {
-                run_id: job.run_id,
-                status,
-                aborted: aborted.clone(),
-            });
-        }
+        gate.ledger_done(job.run_id, status, aborted.clone());
         if !job.key.is_empty() {
             gate.cache_result(cfg, job.run_id, &job.key, Arc::clone(&term));
         }

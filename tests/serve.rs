@@ -372,6 +372,22 @@ fn graceful_drain_retires_every_run_within_budget_with_zero_debris() {
 }
 
 #[test]
+fn drain_does_not_wait_on_an_accept_loop_it_cannot_reach() {
+    let rig = rig(1, 2, |_| {});
+    let reply = jash::serve::submit(&rig.socket, &Request::new(SCRIPT)).unwrap();
+    assert_eq!(reply.status, Some(0), "{reply:?}");
+    // The socket file vanishes under the daemon: drain's wake-up connect
+    // fails, and the accept loop (blocked in accept, unreachable for good)
+    // must be left behind, not joined.
+    std::fs::remove_file(&rig.socket).unwrap();
+    let t0 = Instant::now();
+    let report = rig.server.drain();
+    assert!(t0.elapsed() < Duration::from_secs(2), "drain hung on the accept thread");
+    assert!(report.within_budget);
+    assert_eq!(report.stats.completed, 1);
+}
+
+#[test]
 fn pressure_tightens_the_planner_as_the_daemon_loads_up() {
     let rig = rig(2, 4, |_| {});
     let idle = rig.server.pressure();
