@@ -56,6 +56,17 @@ fn bench_regex(c: &mut Criterion) {
     g.bench_function("literal_search", |b| {
         b.iter(|| literal.is_match(black_box(line)))
     });
+    // The byte-search program's other two shapes: a suffix test, and a
+    // scan that never finds its first byte.
+    let anchored = Regex::new(" 200$", Flavor::Bre, false).unwrap();
+    g.bench_function("anchored_end", |b| {
+        b.iter(|| anchored.is_match(black_box(line)))
+    });
+    let miss = Regex::new("Zstatus", Flavor::Bre, false).unwrap();
+    g.bench_function("literal_miss", |b| {
+        b.iter(|| miss.is_match(black_box(line)))
+    });
+    // Everything below runs the state-set simulation.
     let cls = Regex::new("[0-9][0-9]*ms", Flavor::Bre, false).unwrap();
     g.bench_function("class_star", |b| b.iter(|| cls.is_match(black_box(line))));
     let alt = Regex::new("GET|POST|PUT", Flavor::Ere, false).unwrap();

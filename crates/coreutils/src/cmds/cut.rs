@@ -1,22 +1,27 @@
 //! `cut` — select character columns or delimited fields.
 
-use crate::util::{chomp, for_each_input_line, in_ranges, parse_ranges, write_stderr};
+use crate::kernel::{CutMode, CutOp, LineOp};
+use crate::util::{chomp, for_each_input_line, parse_ranges, write_stderr};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
-
-enum Mode {
-    Chars(Vec<(usize, usize)>),
-    Fields {
-        ranges: Vec<(usize, usize)>,
-        delim: u8,
-        suppress_undelimited: bool,
-    },
-}
 
 /// Runs `cut -c LIST | -b LIST | -f LIST [-d DELIM] [-s] [file...]`.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
-    let mut mode: Option<Mode> = None;
+    let (mut op, files) = match parse(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            write_stderr(io, &format!("cut: {msg}\n"))?;
+            return Ok(2);
+        }
+    };
+    for_each_input_line(&files, io, ctx, |out, line| {
+        Ok(op.line(chomp(line), true, out))
+    })
+}
+
+/// Parses an argument vector into the per-line op and the file
+/// operands, or returns the diagnostic `cut` prints for it.
+pub(crate) fn parse(args: &[String]) -> Result<(CutOp, Vec<String>), String> {
     let mut list: Option<String> = None;
     let mut field_mode = false;
     let mut delim = b'\t';
@@ -56,75 +61,25 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
             files.extend(args[i + 1..].iter().cloned());
             break;
         } else if a.starts_with('-') && a.len() > 1 {
-            write_stderr(io, &format!("cut: unknown option {a}\n"))?;
-            return Ok(2);
+            return Err(format!("unknown option {a}"));
         } else {
             files.push(a.clone());
         }
         i += 1;
     }
 
-    if let Some(list) = list {
-        match parse_ranges(&list) {
-            Some(ranges) if field_mode => {
-                mode = Some(Mode::Fields {
-                    ranges,
-                    delim,
-                    suppress_undelimited: suppress,
-                });
-            }
-            Some(ranges) => mode = Some(Mode::Chars(ranges)),
-            None => {
-                write_stderr(io, "cut: invalid list\n")?;
-                return Ok(2);
-            }
+    let list = list.ok_or("you must specify a list of characters or fields")?;
+    let ranges = parse_ranges(&list).ok_or("invalid list")?;
+    let mode = if field_mode {
+        CutMode::Fields {
+            ranges,
+            delim,
+            suppress_undelimited: suppress,
         }
-    }
-    let Some(mode) = mode else {
-        write_stderr(io, "cut: you must specify a list of characters or fields\n")?;
-        return Ok(2);
+    } else {
+        CutMode::Chars(ranges)
     };
-
-    for_each_input_line(&files, io, ctx, |out, line| {
-        let body = chomp(line);
-        let mut buf = Vec::with_capacity(body.len() + 1);
-        match &mode {
-            Mode::Chars(ranges) => {
-                // Character positions (treated as bytes; ASCII data).
-                for (idx, &b) in body.iter().enumerate() {
-                    if in_ranges(ranges, idx) {
-                        buf.push(b);
-                    }
-                }
-            }
-            Mode::Fields {
-                ranges,
-                delim,
-                suppress_undelimited,
-            } => {
-                if !body.contains(delim) {
-                    if *suppress_undelimited {
-                        return Ok(true);
-                    }
-                    buf.extend_from_slice(body);
-                } else {
-                    let mut first = true;
-                    for (idx, field) in body.split(|&b| b == *delim).enumerate() {
-                        if in_ranges(ranges, idx) {
-                            if !first {
-                                buf.push(*delim);
-                            }
-                            first = false;
-                            buf.extend_from_slice(field);
-                        }
-                    }
-                }
-            }
-        }
-        buf.push(b'\n');
-        out.write_chunk(Bytes::from(buf))?;
-        Ok(true)
-    })
+    Ok((CutOp { mode }, files))
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::util::{chomp, for_each_input_line};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 /// Runs `fold [-w width] [file...]` (default width 80).
@@ -32,16 +31,13 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         i += 1;
     }
     for_each_input_line(&files, io, ctx, |out, line| {
-        let body = chomp(line);
-        let mut buf = Vec::with_capacity(body.len() + body.len() / width + 2);
-        for (i, b) in body.iter().enumerate() {
+        for (i, b) in chomp(line).iter().enumerate() {
             if i > 0 && i % width == 0 {
-                buf.push(b'\n');
+                out.push(b'\n');
             }
-            buf.push(*b);
+            out.push(*b);
         }
-        buf.push(b'\n');
-        out.write_chunk(Bytes::from(buf))?;
+        out.push(b'\n');
         Ok(true)
     })
 }

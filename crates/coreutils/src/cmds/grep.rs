@@ -1,16 +1,69 @@
 //! `grep` — search lines by regular expression.
 
+use crate::kernel::{GrepOp, LineOp};
 use crate::regex::{Flavor, Regex};
 use crate::util::{chomp, for_each_input_line, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
 
+/// A parsed `grep` invocation: the per-line op plus what only the
+/// standalone command implements.
+pub(crate) struct Grep {
+    pub(crate) op: GrepOp,
+    pub(crate) count_only: bool,
+    pub(crate) quiet: bool,
+    pub(crate) max_count: Option<u64>,
+    pub(crate) files: Vec<String>,
+}
+
 /// Runs `grep [-vcinqEF] [-m N] [-e pattern] pattern [file...]`.
 ///
 /// Exit status: 0 if any line matched, 1 if none, 2 on errors — scripts
 /// rely on this (`if grep -q ...`).
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
+    let Grep {
+        mut op,
+        count_only,
+        quiet,
+        max_count,
+        files,
+    } = match parse(args) {
+        Ok(grep) => grep,
+        Err(msg) => {
+            write_stderr(io, &format!("grep: {msg}\n"))?;
+            return Ok(2);
+        }
+    };
+
+    let status = for_each_input_line(&files, io, ctx, |out, line| {
+        let body = chomp(line);
+        if op.hit(body) {
+            if quiet {
+                return Ok(false);
+            }
+            if !count_only {
+                op.emit(body, out);
+            }
+            if max_count.is_some_and(|m| op.matched >= m) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    })?;
+    if count_only && !quiet {
+        io.stdout
+            .write_chunk(Bytes::from(format!("{}\n", op.matched)))?;
+    }
+    if status != 0 {
+        return Ok(2);
+    }
+    Ok(op.status())
+}
+
+/// Parses an argument vector, or returns the diagnostic `grep` prints
+/// for it.
+pub(crate) fn parse(args: &[String]) -> Result<Grep, String> {
     let mut invert = false;
     let mut count_only = false;
     let mut icase = false;
@@ -42,23 +95,14 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         }
         if a == "-e" {
             i += 1;
-            pattern = Some(match args.get(i) {
-                Some(p) => p.clone(),
-                None => {
-                    write_stderr(io, "grep: option -e requires an argument\n")?;
-                    return Ok(2);
-                }
-            });
+            pattern = Some(args.get(i).ok_or("option -e requires an argument")?.clone());
             i += 1;
             continue;
         }
         if a == "-m" {
             i += 1;
-            max_count = args.get(i).and_then(|v| v.parse().ok());
-            if max_count.is_none() {
-                write_stderr(io, "grep: bad -m argument\n")?;
-                return Ok(2);
-            }
+            let count = args.get(i).and_then(|v| v.parse().ok());
+            max_count = Some(count.ok_or("bad -m argument")?);
             i += 1;
             continue;
         }
@@ -71,67 +115,31 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 'q' => quiet = true,
                 'E' => flavor = Flavor::Ere,
                 'F' => fixed = true,
-                other => {
-                    write_stderr(io, &format!("grep: unknown option -{other}\n"))?;
-                    return Ok(2);
-                }
+                other => return Err(format!("unknown option -{other}")),
             }
         }
         i += 1;
     }
 
-    let Some(pattern) = pattern else {
-        write_stderr(io, "grep: missing pattern\n")?;
-        return Ok(2);
-    };
+    let pattern = pattern.ok_or("missing pattern")?;
     let re = if fixed {
         Regex::fixed(&pattern, icase)
     } else {
-        match Regex::new(&pattern, flavor, icase) {
-            Ok(r) => r,
-            Err(e) => {
-                write_stderr(io, &format!("grep: {e}\n"))?;
-                return Ok(2);
-            }
-        }
+        Regex::new(&pattern, flavor, icase).map_err(|e| e.to_string())?
     };
-
-    let mut matched = 0u64;
-    let mut lineno = 0u64;
-    let status = for_each_input_line(&files, io, ctx, |out, line| {
-        lineno += 1;
-        let body = chomp(line);
-        let hit = re.is_match(body) != invert;
-        if hit {
-            matched += 1;
-            if quiet {
-                return Ok(false);
-            }
-            if !count_only {
-                let mut buf = Vec::with_capacity(line.len() + 12);
-                if line_numbers {
-                    buf.extend_from_slice(format!("{lineno}:").as_bytes());
-                }
-                buf.extend_from_slice(body);
-                buf.push(b'\n');
-                out.write_chunk(Bytes::from(buf))?;
-            }
-            if let Some(m) = max_count {
-                if matched >= m {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
-    })?;
-    if count_only && !quiet {
-        io.stdout
-            .write_chunk(Bytes::from(format!("{matched}\n")))?;
-    }
-    if status != 0 {
-        return Ok(2);
-    }
-    Ok(if matched > 0 { 0 } else { 1 })
+    Ok(Grep {
+        op: GrepOp {
+            re,
+            invert,
+            line_numbers,
+            lineno: 0,
+            matched: 0,
+        },
+        count_only,
+        quiet,
+        max_count,
+        files,
+    })
 }
 
 #[cfg(test)]

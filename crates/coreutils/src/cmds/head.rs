@@ -6,7 +6,6 @@
 
 use crate::util::{for_each_input_line, write_stderr};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 /// Runs `head [-n N | -c N] [file...]`. Also accepts historical `-N`.
@@ -90,11 +89,10 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     let mut seen = 0u64;
     for_each_input_line(&files, io, ctx, |out, line| {
         seen += 1;
-        let mut owned = line.to_vec();
-        if !owned.ends_with(b"\n") {
-            owned.push(b'\n');
+        out.extend_from_slice(line);
+        if !line.ends_with(b"\n") {
+            out.push(b'\n');
         }
-        out.write_chunk(Bytes::from(owned))?;
         Ok(seen < lines)
     })
 }

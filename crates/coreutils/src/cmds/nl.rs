@@ -2,7 +2,6 @@
 
 use crate::util::for_each_input_line;
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 /// Runs `nl [-ba] [file...]`. `-ba` (number all lines) is the default
@@ -28,16 +27,12 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     let mut n = 0u64;
     for_each_input_line(&files, io, ctx, |out, line| {
         let body = crate::util::chomp(line);
-        let mut buf = Vec::with_capacity(body.len() + 10);
-        if skip_empty && body.is_empty() {
-            buf.extend_from_slice(b"\n");
-        } else {
+        if !(skip_empty && body.is_empty()) {
             n += 1;
-            buf.extend_from_slice(format!("{n:>6}\t").as_bytes());
-            buf.extend_from_slice(body);
-            buf.push(b'\n');
+            out.extend_from_slice(format!("{n:>6}\t").as_bytes());
+            out.extend_from_slice(body);
         }
-        out.write_chunk(Bytes::from(buf))?;
+        out.push(b'\n');
         Ok(true)
     })
 }

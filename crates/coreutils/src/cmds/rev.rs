@@ -2,7 +2,6 @@
 
 use crate::util::{chomp, for_each_input_line};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 /// Runs `rev [file...]`.
@@ -10,15 +9,11 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     for_each_input_line(args, io, ctx, |out, line| {
         let had_nl = line.ends_with(b"\n");
         let body = chomp(line);
-        let mut rev: Vec<u8> = String::from_utf8_lossy(body)
-            .chars()
-            .rev()
-            .collect::<String>()
-            .into_bytes();
+        let rev: String = String::from_utf8_lossy(body).chars().rev().collect();
+        out.extend_from_slice(rev.as_bytes());
         if had_nl {
-            rev.push(b'\n');
+            out.push(b'\n');
         }
-        out.write_chunk(Bytes::from(rev))?;
         Ok(true)
     })
 }

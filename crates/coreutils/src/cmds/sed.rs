@@ -6,9 +6,8 @@
 //! which the spec registry reflects by marking such scripts non-offloadable).
 
 use crate::regex::{Flavor, Regex};
-use crate::util::{chomp, for_each_input_line, write_stderr};
+use crate::util::{chomp, for_each_input_line, write_stderr, write_stdout};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 enum Addr {
@@ -42,8 +41,49 @@ struct Rule {
     active: bool,
 }
 
+/// A parsed script plus the per-stream state it runs with: what [`run`]
+/// and the fused kernel both drive, one line at a time.
+pub(crate) struct Sed {
+    rules: Vec<Rule>,
+    quiet: bool,
+    lineno: u64,
+    quitting: bool,
+}
+
 /// Runs `sed [-n] [-e script]... script [file...]`.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
+    let (mut sed, files) = match parse(args) {
+        Ok(parsed) => parsed,
+        Err(msg) => {
+            write_stderr(io, &format!("sed: {msg}\n"))?;
+            return Ok(2);
+        }
+    };
+
+    // Two passes are needed to know the last line for `$`; if any rule uses
+    // `$`, buffer the input. Otherwise stream.
+    if sed.uses_last() {
+        let data = crate::util::read_all_input(&files, io, ctx)?;
+        let all: Vec<&[u8]> = jash_io::split_lines(&data);
+        let mut out = Vec::new();
+        for (i, line) in all.iter().enumerate() {
+            if !sed.process(line, i + 1 == all.len(), &mut out) {
+                break;
+            }
+        }
+        write_stdout(io, &out)?;
+        return Ok(0);
+    }
+
+    for_each_input_line(&files, io, ctx, |out, line| {
+        Ok(sed.process(chomp(line), false, out))
+    })?;
+    Ok(0)
+}
+
+/// Parses an argument vector into the script and the file operands, or
+/// returns the diagnostic `sed` prints for it.
+fn parse(args: &[String]) -> Result<(Sed, Vec<String>), String> {
     let mut quiet = false;
     let mut scripts: Vec<String> = Vec::new();
     let mut files = Vec::new();
@@ -54,19 +94,12 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
             quiet = true;
         } else if a == "-e" {
             i += 1;
-            match args.get(i) {
-                Some(s) => scripts.push(s.clone()),
-                None => {
-                    write_stderr(io, "sed: -e requires an argument\n")?;
-                    return Ok(2);
-                }
-            }
+            scripts.push(args.get(i).ok_or("-e requires an argument")?.clone());
         } else if a == "--" {
             files.extend(args[i + 1..].iter().cloned());
             break;
         } else if a.starts_with('-') && a.len() > 1 {
-            write_stderr(io, &format!("sed: unknown option {a}\n"))?;
-            return Ok(2);
+            return Err(format!("unknown option {a}"));
         } else if scripts.is_empty() {
             scripts.push(a.clone());
         } else {
@@ -75,193 +108,45 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         i += 1;
     }
     if scripts.is_empty() {
-        write_stderr(io, "sed: missing script\n")?;
-        return Ok(2);
+        return Err("missing script".to_string());
     }
 
     let mut rules = Vec::new();
     for script in &scripts {
         for part in split_script(script) {
-            match parse_rule(&part) {
-                Ok(r) => rules.push(r),
-                Err(e) => {
-                    write_stderr(io, &format!("sed: {e}\n"))?;
-                    return Ok(2);
-                }
-            }
+            rules.push(parse_rule(&part)?);
         }
     }
-
-    // Two passes are needed to know the last line for `$`; if any rule uses
-    // `$`, buffer the input. Otherwise stream.
-    let uses_last = rules.iter().any(|r| {
-        matches!(&r.addr, AddrSpec::One(Addr::Last))
-            || matches!(&r.addr, AddrSpec::Range(a, b)
-                if matches!(a, Addr::Last) || matches!(b, Addr::Last))
-    });
-
-    let mut lineno = 0u64;
-    let mut quitting = false;
-    if uses_last {
-        let data = crate::util::read_all_input(&files, io, ctx)?;
-        let all: Vec<&[u8]> = jash_io::split_lines(&data);
-        let n = all.len() as u64;
-        for line in &all {
-            lineno += 1;
-            if !process_line(
-                io.stdout,
-                &mut rules,
-                line,
-                lineno,
-                lineno == n,
-                quiet,
-                &mut quitting,
-            )? {
-                break;
-            }
-        }
-        return Ok(0);
-    }
-
-    for_each_input_line(&files, io, ctx, |out, line| {
-        lineno += 1;
-        let body = chomp(line);
-        process_line(out, &mut rules, body, lineno, false, quiet, &mut quitting)
-    })?;
-    Ok(0)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_line(
-    out: &mut dyn jash_io::Sink,
-    rules: &mut [Rule],
-    line: &[u8],
-    lineno: u64,
-    is_last: bool,
-    quiet: bool,
-    quitting: &mut bool,
-) -> io::Result<bool> {
-    if *quitting {
-        return Ok(false);
-    }
-    let mut pattern_space = line.to_vec();
-    let mut deleted = false;
-    let mut extra_prints = 0usize;
-    for rule in rules.iter_mut() {
-        let selected = rule_selects(rule, &pattern_space, lineno, is_last);
-        if !selected {
-            continue;
-        }
-        match &rule.cmd {
-            Cmd::Delete => {
-                deleted = true;
-                break;
-            }
-            Cmd::Print => extra_prints += 1,
-            Cmd::Quit => {
-                *quitting = true;
-                break;
-            }
-            Cmd::Subst {
-                re,
-                repl,
-                global,
-                print,
-            } => {
-                let (new, changed) = substitute(re, repl, &pattern_space, *global);
-                pattern_space = new;
-                if changed && *print {
-                    extra_prints += 1;
-                }
-            }
-        }
-    }
-    if !deleted && !quiet {
-        let mut buf = pattern_space.clone();
-        buf.push(b'\n');
-        out.write_chunk(Bytes::from(buf))?;
-    }
-    for _ in 0..extra_prints {
-        let mut buf = pattern_space.clone();
-        buf.push(b'\n');
-        out.write_chunk(Bytes::from(buf))?;
-    }
-    Ok(!*quitting)
-}
-
-/// Streaming per-line `sed` state for the fused-kernel executor.
-///
-/// Reuses the exact rule machinery of [`run`] — same parser, same
-/// selection, same substitution — but drives one line at a time into a
-/// plain buffer instead of a [`jash_io::Sink`]. Only invocations the
-/// kernel can reproduce byte-for-byte are accepted: `$` addresses need
-/// lookahead (`is_last`) the kernel does not have, and file operands or
-/// unknown flags belong to the real implementation.
-pub(crate) struct KernelSed {
-    rules: Vec<Rule>,
-    quiet: bool,
-    lineno: u64,
-    quitting: bool,
-}
-
-/// Builds a [`KernelSed`] for `args`, or `None` if the invocation is
-/// outside the kernel-supported subset.
-pub(crate) fn kernel_sed(args: &[String]) -> Option<KernelSed> {
-    let mut quiet = false;
-    let mut scripts: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if a == "-n" {
-            quiet = true;
-        } else if a == "-e" {
-            i += 1;
-            scripts.push(args.get(i)?.clone());
-        } else if a == "--" {
-            // Everything after `--` is a file operand in `run`.
-            if args.len() > i + 1 {
-                return None;
-            }
-            break;
-        } else if a.starts_with('-') && a.len() > 1 {
-            return None;
-        } else if scripts.is_empty() {
-            scripts.push(a.clone());
-        } else {
-            return None; // File operand.
-        }
-        i += 1;
-    }
-    if scripts.is_empty() {
-        return None;
-    }
-    let mut rules = Vec::new();
-    for script in &scripts {
-        for part in split_script(script) {
-            rules.push(parse_rule(&part).ok()?);
-        }
-    }
-    let uses_last = rules.iter().any(|r| {
-        matches!(&r.addr, AddrSpec::One(Addr::Last))
-            || matches!(&r.addr, AddrSpec::Range(a, b)
-                if matches!(a, Addr::Last) || matches!(b, Addr::Last))
-    });
-    if uses_last {
-        return None;
-    }
-    Some(KernelSed {
+    let sed = Sed {
         rules,
         quiet,
         lineno: 0,
         quitting: false,
-    })
+    };
+    Ok((sed, files))
 }
 
-impl KernelSed {
-    /// Processes one line body (no trailing newline), appending output to
-    /// `out`. Returns `false` once a `q` command fires — mirroring
-    /// [`process_line`]'s early-stop contract.
-    pub(crate) fn line(&mut self, body: &[u8], out: &mut Vec<u8>) -> bool {
+/// The script as a fused-kernel stage, or `None` if the invocation is
+/// outside what the kernel reproduces byte for byte: `$` addresses need
+/// lookahead the kernel does not have, and operands are files.
+pub(crate) fn kernel_sed(args: &[String]) -> Option<Sed> {
+    let (sed, files) = parse(args).ok()?;
+    (files.is_empty() && !sed.uses_last()).then_some(sed)
+}
+
+impl Sed {
+    fn uses_last(&self) -> bool {
+        self.rules.iter().any(|r| {
+            matches!(&r.addr, AddrSpec::One(Addr::Last))
+                || matches!(&r.addr, AddrSpec::Range(a, b)
+                    if matches!(a, Addr::Last) || matches!(b, Addr::Last))
+        })
+    }
+
+    /// Runs the rules over one line body (no trailing newline), appending
+    /// what it prints to `out`. Returns `false` once a `q` command has
+    /// fired.
+    pub(crate) fn process(&mut self, body: &[u8], is_last: bool, out: &mut Vec<u8>) -> bool {
         if self.quitting {
             return false;
         }
@@ -270,7 +155,7 @@ impl KernelSed {
         let mut deleted = false;
         let mut extra_prints = 0usize;
         for rule in self.rules.iter_mut() {
-            if !rule_selects(rule, &pattern_space, self.lineno, false) {
+            if !rule_selects(rule, &pattern_space, self.lineno, is_last) {
                 continue;
             }
             match &rule.cmd {

@@ -4,14 +4,34 @@
 //! `tr -cs A-Za-z '\n'`) plus `-d`: ranges, `[:classes:]`, and the
 //! `\n`/`\t`/`\\` escapes.
 
+use crate::kernel::{ChunkOp, TrOp};
 use crate::util::{split_flags, write_stderr};
 use crate::{UtilCtx, UtilIo};
 use bytes::Bytes;
 use std::io;
 
 /// Runs `tr [-c] [-d] [-s] SET1 [SET2]`.
-pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
-    let _ = ctx;
+pub fn run(args: &[String], io: &mut UtilIo<'_>, _ctx: &UtilCtx) -> io::Result<i32> {
+    let mut op = match parse(args) {
+        Ok(op) => op,
+        Err(msg) => {
+            write_stderr(io, &format!("tr: {msg}\n"))?;
+            return Ok(2);
+        }
+    };
+    while let Some(chunk) = io.stdin.next_chunk()? {
+        let mut out = Vec::with_capacity(chunk.len());
+        op.chunk(&chunk, &mut out);
+        if !out.is_empty() {
+            io.stdout.write_chunk(Bytes::from(out))?;
+        }
+    }
+    Ok(0)
+}
+
+/// Builds the op for an argument vector, or the diagnostic `tr` prints
+/// for it.
+pub(crate) fn parse(args: &[String]) -> Result<TrOp, String> {
     let (flags, operands) = split_flags(args);
     let mut complement = false;
     let mut delete = false;
@@ -22,21 +42,12 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
                 'c' | 'C' => complement = true,
                 'd' => delete = true,
                 's' => squeeze = true,
-                other => {
-                    write_stderr(io, &format!("tr: unknown option -{other}\n"))?;
-                    return Ok(2);
-                }
+                other => return Err(format!("unknown option -{other}")),
             }
         }
     }
 
-    let set1 = match operands.first() {
-        Some(s) => expand_set(s),
-        None => {
-            write_stderr(io, "tr: missing operand\n")?;
-            return Ok(2);
-        }
-    };
+    let set1 = expand_set(operands.first().ok_or("missing operand")?);
     let set2 = operands.get(1).map(|s| expand_set(s));
 
     // Membership table for SET1 (with optional complement).
@@ -53,10 +64,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     // Translation table.
     let mut xlate: [u8; 256] = std::array::from_fn(|i| i as u8);
     if let (Some(set2), false) = (&set2, delete) {
-        let Some(&last) = set2.last() else {
-            write_stderr(io, "tr: SET2 must not be empty\n")?;
-            return Ok(2);
-        };
+        let &last = set2.last().ok_or("SET2 must not be empty")?;
         if complement {
             // POSIX: with -c, every complemented byte maps to the last
             // element of SET2 (the common `tr -cs A-Za-z '\n'` case).
@@ -68,53 +76,31 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         } else {
             for (i, &from) in set1.iter().enumerate() {
                 // SET2 shorter than SET1 extends with its last element.
-                let to = set2.get(i).copied().unwrap_or(last);
-                xlate[from as usize] = to;
+                xlate[from as usize] = set2.get(i).copied().unwrap_or(last);
             }
         }
     }
 
-    let squeeze_set: [bool; 256] = {
-        let mut t = [false; 256];
-        if squeeze {
-            // Squeeze applies to SET2 when translating, else to SET1.
-            match (&set2, delete) {
-                (Some(s2), false) => {
-                    for &b in s2 {
-                        t[b as usize] = true;
-                    }
+    let mut squeeze_set = [false; 256];
+    if squeeze {
+        // Squeeze applies to SET2 when translating, else to SET1.
+        match (&set2, delete) {
+            (Some(s2), false) => {
+                for &b in s2 {
+                    squeeze_set[b as usize] = true;
                 }
-                _ => t = member,
             }
-        }
-        t
-    };
-
-    let translating = set2.is_some() && !delete;
-    let mut last_out: Option<u8> = None;
-    while let Some(chunk) = io.stdin.next_chunk()? {
-        let mut out = Vec::with_capacity(chunk.len());
-        for &b in chunk.iter() {
-            let mut ob = b;
-            if delete && member[b as usize] {
-                continue;
-            }
-            if translating && member[b as usize] {
-                ob = xlate[b as usize];
-            } else if translating && !complement {
-                // Non-members pass through untouched.
-            }
-            if squeeze && squeeze_set[ob as usize] && last_out == Some(ob) {
-                continue;
-            }
-            last_out = Some(ob);
-            out.push(ob);
-        }
-        if !out.is_empty() {
-            io.stdout.write_chunk(Bytes::from(out))?;
+            _ => squeeze_set = member,
         }
     }
-    Ok(0)
+
+    Ok(TrOp {
+        delete_set: if delete { member } else { [false; 256] },
+        xlate,
+        squeeze_set,
+        translate_only: !delete && !squeeze,
+        last_out: None,
+    })
 }
 
 /// Expands a set operand: escapes, ranges, and `[:class:]` members.

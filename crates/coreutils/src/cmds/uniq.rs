@@ -1,8 +1,7 @@
 //! `uniq` — filter adjacent duplicate lines.
 
-use crate::util::{chomp, for_each_input_line, split_flags};
+use crate::util::{chomp, for_each_input_line, split_flags, write_stdout};
 use crate::{UtilCtx, UtilIo};
-use bytes::Bytes;
 use std::io;
 
 /// Runs `uniq [-c] [-d] [-u] [file]`.
@@ -35,7 +34,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
             Some(p) if *p == body => run_len += 1,
             Some(p) => {
                 pending.push((p.clone(), run_len));
-                emit(out, &mut pending, count, only_dup, only_unique)?;
+                emit(out, &mut pending, count, only_dup, only_unique);
                 prev = Some(body);
                 run_len = 1;
             }
@@ -48,18 +47,20 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
     })?;
     if let Some(p) = prev {
         pending.push((p, run_len));
-        emit(io.stdout, &mut pending, count, only_dup, only_unique)?;
+        let mut out = Vec::new();
+        emit(&mut out, &mut pending, count, only_dup, only_unique);
+        write_stdout(io, &out)?;
     }
     Ok(status)
 }
 
 fn emit(
-    out: &mut dyn jash_io::Sink,
+    out: &mut Vec<u8>,
     pending: &mut Vec<(Vec<u8>, usize)>,
     count: bool,
     only_dup: bool,
     only_unique: bool,
-) -> io::Result<()> {
+) {
     for (line, n) in pending.drain(..) {
         if only_dup && n < 2 {
             continue;
@@ -67,15 +68,12 @@ fn emit(
         if only_unique && n > 1 {
             continue;
         }
-        let mut buf = Vec::with_capacity(line.len() + 12);
         if count {
-            buf.extend_from_slice(format!("{n:>7} ").as_bytes());
+            out.extend_from_slice(format!("{n:>7} ").as_bytes());
         }
-        buf.extend_from_slice(&line);
-        buf.push(b'\n');
-        out.write_chunk(Bytes::from(buf))?;
+        out.extend_from_slice(&line);
+        out.push(b'\n');
     }
-    Ok(())
 }
 
 #[cfg(test)]

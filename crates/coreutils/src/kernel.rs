@@ -9,17 +9,20 @@
 //! stages frame their input by scanning the chunk in place, carrying
 //! only a partial trailing line across chunk boundaries.
 //!
-//! Each op replicates the corresponding utility in `cmds/` byte for
-//! byte; the conformance tests below fuzz every op against
+//! `tr`, `grep`, `cut` and `sed` exist once: `cmds/` parses their
+//! arguments and runs the same ops the kernel does. Every other op
+//! replicates the corresponding utility in `cmds/` byte for byte, and
+//! the conformance tests below fuzz all of them against
 //! [`crate::run_on_bytes`] so the two cannot drift silently. Builders
 //! return `None` for any invocation whose semantics the kernel cannot
 //! reproduce exactly (unsupported flags, file operands, buffering
 //! commands) — the fusion pass treats those stages as barriers.
 
-use crate::cmds::sed::{kernel_sed, KernelSed};
-use crate::cmds::tr::expand_set;
-use crate::regex::{Flavor, Regex};
-use crate::util::{in_ranges, parse_ranges, split_flags};
+use crate::cmds;
+use crate::cmds::sed::{kernel_sed, Sed};
+use crate::regex::Regex;
+use crate::util::in_ranges;
+use std::io::Write;
 
 /// How a fused stage consumes its input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +46,7 @@ pub fn op_shape(name: &str, args: &[String]) -> Option<KernelShape> {
 /// `had_nl` says whether the source line had one (only the final line
 /// of a stream may lack it). Returns `false` to stop consuming input
 /// (`head`, `sed q`).
-trait LineOp {
+pub(crate) trait LineOp {
     fn line(&mut self, body: &[u8], had_nl: bool, out: &mut Vec<u8>) -> bool;
     fn status(&self) -> i32 {
         0
@@ -51,7 +54,7 @@ trait LineOp {
 }
 
 /// A per-chunk transducer (never stops early, never fails).
-trait ChunkOp {
+pub(crate) trait ChunkOp {
     fn chunk(&mut self, data: &[u8], out: &mut Vec<u8>);
 }
 
@@ -285,27 +288,32 @@ impl ChunkOp for CatOp {
     }
 }
 
-struct TrOp {
-    member: [bool; 256],
-    xlate: [u8; 256],
-    squeeze_set: [bool; 256],
-    delete: bool,
-    squeeze: bool,
-    translating: bool,
-    last_out: Option<u8>,
+/// `tr`: delete, then translate, then squeeze, a byte at a time.
+pub(crate) struct TrOp {
+    /// Bytes `-d` drops (none without `-d`).
+    pub(crate) delete_set: [bool; 256],
+    /// Identity outside the translated set.
+    pub(crate) xlate: [u8; 256],
+    /// Bytes `-s` squeezes runs of, tested after translation (none
+    /// without `-s`).
+    pub(crate) squeeze_set: [bool; 256],
+    /// Neither `-d` nor `-s`: the op is a table map.
+    pub(crate) translate_only: bool,
+    pub(crate) last_out: Option<u8>,
 }
 
 impl ChunkOp for TrOp {
     fn chunk(&mut self, data: &[u8], out: &mut Vec<u8>) {
+        if self.translate_only {
+            out.extend(data.iter().map(|&b| self.xlate[b as usize]));
+            return;
+        }
         for &b in data {
-            let mut ob = b;
-            if self.delete && self.member[b as usize] {
+            if self.delete_set[b as usize] {
                 continue;
             }
-            if self.translating && self.member[b as usize] {
-                ob = self.xlate[b as usize];
-            }
-            if self.squeeze && self.squeeze_set[ob as usize] && self.last_out == Some(ob) {
+            let ob = self.xlate[b as usize];
+            if self.squeeze_set[ob as usize] && self.last_out == Some(ob) {
                 continue;
             }
             self.last_out = Some(ob);
@@ -314,24 +322,39 @@ impl ChunkOp for TrOp {
     }
 }
 
-struct GrepOp {
-    re: Regex,
-    invert: bool,
-    line_numbers: bool,
-    lineno: u64,
-    matched: u64,
+/// `grep` without `-c`/`-q`/`-m`, which only `cmds/grep.rs` layers on
+/// top of [`GrepOp::hit`] and [`GrepOp::emit`].
+pub(crate) struct GrepOp {
+    pub(crate) re: Regex,
+    pub(crate) invert: bool,
+    pub(crate) line_numbers: bool,
+    pub(crate) lineno: u64,
+    pub(crate) matched: u64,
+}
+
+impl GrepOp {
+    /// Counts the line and says whether it is selected.
+    pub(crate) fn hit(&mut self, body: &[u8]) -> bool {
+        self.lineno += 1;
+        let hit = self.re.is_match(body) != self.invert;
+        self.matched += hit as u64;
+        hit
+    }
+
+    /// Writes a selected line (the one `hit` was last called on).
+    pub(crate) fn emit(&self, body: &[u8], out: &mut Vec<u8>) {
+        if self.line_numbers {
+            write!(out, "{}:", self.lineno).expect("writing to a Vec cannot fail");
+        }
+        out.extend_from_slice(body);
+        out.push(b'\n');
+    }
 }
 
 impl LineOp for GrepOp {
     fn line(&mut self, body: &[u8], _had_nl: bool, out: &mut Vec<u8>) -> bool {
-        self.lineno += 1;
-        if self.re.is_match(body) != self.invert {
-            self.matched += 1;
-            if self.line_numbers {
-                out.extend_from_slice(format!("{}:", self.lineno).as_bytes());
-            }
-            out.extend_from_slice(body);
-            out.push(b'\n');
+        if self.hit(body) {
+            self.emit(body, out);
         }
         true
     }
@@ -345,7 +368,8 @@ impl LineOp for GrepOp {
     }
 }
 
-enum CutMode {
+pub(crate) enum CutMode {
+    /// Character positions (treated as bytes; ASCII data).
     Chars(Vec<(usize, usize)>),
     Fields {
         ranges: Vec<(usize, usize)>,
@@ -354,20 +378,26 @@ enum CutMode {
     },
 }
 
-struct CutOp {
-    mode: CutMode,
+pub(crate) struct CutOp {
+    pub(crate) mode: CutMode,
 }
 
 impl LineOp for CutOp {
     fn line(&mut self, body: &[u8], _had_nl: bool, out: &mut Vec<u8>) -> bool {
         match &self.mode {
-            CutMode::Chars(ranges) => {
-                for (idx, &b) in body.iter().enumerate() {
-                    if in_ranges(ranges, idx) {
-                        out.push(b);
+            CutMode::Chars(ranges) => match ranges[..] {
+                [(start, end)] => {
+                    let len = body.len();
+                    out.extend_from_slice(&body[start.min(len)..end.min(len)]);
+                }
+                _ => {
+                    for (idx, &b) in body.iter().enumerate() {
+                        if in_ranges(ranges, idx) {
+                            out.push(b);
+                        }
                     }
                 }
-            }
+            },
             CutMode::Fields {
                 ranges,
                 delim,
@@ -397,13 +427,9 @@ impl LineOp for CutOp {
     }
 }
 
-struct SedOp {
-    inner: KernelSed,
-}
-
-impl LineOp for SedOp {
+impl LineOp for Sed {
     fn line(&mut self, body: &[u8], _had_nl: bool, out: &mut Vec<u8>) -> bool {
-        self.inner.line(body, out)
+        self.process(body, false, out)
     }
 }
 
@@ -477,7 +503,7 @@ fn build_stage(name: &str, args: &[String]) -> Option<Stage> {
         "tr" => build_tr(args),
         "grep" => build_grep(args),
         "cut" => build_cut(args),
-        "sed" => kernel_sed(args).map(|inner| line_op(Box::new(SedOp { inner }))),
+        "sed" => kernel_sed(args).map(|sed| line_op(Box::new(sed))),
         "head" => build_head(args),
         "rev" => build_rev(args),
         "fold" => build_fold(args),
@@ -509,190 +535,20 @@ fn build_cat(args: &[String]) -> Option<OpImpl> {
 }
 
 fn build_tr(args: &[String]) -> Option<OpImpl> {
-    let (flags, operands) = split_flags(args);
-    let mut complement = false;
-    let mut delete = false;
-    let mut squeeze = false;
-    for f in flags {
-        for c in f.chars().skip(1) {
-            match c {
-                'c' | 'C' => complement = true,
-                'd' => delete = true,
-                's' => squeeze = true,
-                _ => return None,
-            }
-        }
-    }
-    let set1 = expand_set(operands.first()?);
-    let set2 = operands.get(1).map(|s| expand_set(s));
-
-    let mut member = [false; 256];
-    for &b in &set1 {
-        member[b as usize] = true;
-    }
-    if complement {
-        for m in member.iter_mut() {
-            *m = !*m;
-        }
-    }
-
-    let mut xlate: [u8; 256] = std::array::from_fn(|i| i as u8);
-    if let (Some(s2), false) = (&set2, delete) {
-        let last = *s2.last()?;
-        if complement {
-            for (i, m) in member.iter().enumerate() {
-                if *m {
-                    xlate[i] = last;
-                }
-            }
-        } else {
-            for (i, &from) in set1.iter().enumerate() {
-                xlate[from as usize] = s2.get(i).copied().unwrap_or(last);
-            }
-        }
-    }
-
-    let squeeze_set: [bool; 256] = {
-        let mut t = [false; 256];
-        if squeeze {
-            match (&set2, delete) {
-                (Some(s2), false) => {
-                    for &b in s2 {
-                        t[b as usize] = true;
-                    }
-                }
-                _ => t = member,
-            }
-        }
-        t
-    };
-
-    Some(OpImpl::Chunk(Box::new(TrOp {
-        member,
-        xlate,
-        squeeze_set,
-        delete,
-        squeeze,
-        translating: set2.is_some() && !delete,
-        last_out: None,
-    })))
+    Some(OpImpl::Chunk(Box::new(cmds::tr::parse(args).ok()?)))
 }
 
 fn build_grep(args: &[String]) -> Option<OpImpl> {
-    let mut invert = false;
-    let mut icase = false;
-    let mut line_numbers = false;
-    let mut flavor = Flavor::Bre;
-    let mut fixed = false;
-    let mut pattern: Option<String> = None;
-
-    let mut i = 0;
-    let mut no_more_flags = false;
-    while i < args.len() {
-        let a = &args[i];
-        if no_more_flags || !a.starts_with('-') || a == "-" {
-            if pattern.is_none() {
-                pattern = Some(a.clone());
-            } else {
-                return None; // File operand.
-            }
-            i += 1;
-            continue;
-        }
-        if a == "--" {
-            no_more_flags = true;
-            i += 1;
-            continue;
-        }
-        if a == "-e" {
-            i += 1;
-            pattern = Some(args.get(i)?.clone());
-            i += 1;
-            continue;
-        }
-        for c in a.chars().skip(1) {
-            match c {
-                'v' => invert = true,
-                'i' => icase = true,
-                'n' => line_numbers = true,
-                'E' => flavor = Flavor::Ere,
-                'F' => fixed = true,
-                // -c/-q/-m change output or stop semantics the kernel
-                // does not model; anything else is an error anyway.
-                _ => return None,
-            }
-        }
-        i += 1;
-    }
-
-    let pattern = pattern?;
-    let re = if fixed {
-        Regex::fixed(&pattern, icase)
-    } else {
-        Regex::new(&pattern, flavor, icase).ok()?
-    };
-    Some(line_op(Box::new(GrepOp {
-        re,
-        invert,
-        line_numbers,
-        lineno: 0,
-        matched: 0,
-    })))
+    let grep = cmds::grep::parse(args).ok()?;
+    // -c/-q/-m change output or stop semantics the kernel does not
+    // model, and operands are files.
+    let plain = !grep.count_only && !grep.quiet && grep.max_count.is_none();
+    (plain && grep.files.is_empty()).then(|| line_op(Box::new(grep.op)))
 }
 
 fn build_cut(args: &[String]) -> Option<OpImpl> {
-    let mut list: Option<String> = None;
-    let mut field_mode = false;
-    let mut delim = b'\t';
-    let mut suppress = false;
-
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(rest) = a.strip_prefix("-c").or_else(|| a.strip_prefix("-b")) {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
-            field_mode = false;
-        } else if let Some(rest) = a.strip_prefix("-f") {
-            list = Some(if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            });
-            field_mode = true;
-        } else if let Some(rest) = a.strip_prefix("-d") {
-            let d = if rest.is_empty() {
-                i += 1;
-                args.get(i).cloned().unwrap_or_default()
-            } else {
-                rest.to_string()
-            };
-            delim = d.bytes().next().unwrap_or(b'\t');
-        } else if a == "-s" {
-            suppress = true;
-        } else {
-            // `--`, file operands, unknown flags: not kernel territory.
-            return None;
-        }
-        i += 1;
-    }
-
-    let ranges = parse_ranges(&list?)?;
-    let mode = if field_mode {
-        CutMode::Fields {
-            ranges,
-            delim,
-            suppress_undelimited: suppress,
-        }
-    } else {
-        CutMode::Chars(ranges)
-    };
-    Some(line_op(Box::new(CutOp { mode })))
+    let (op, files) = cmds::cut::parse(args).ok()?;
+    files.is_empty().then(|| line_op(Box::new(op)))
 }
 
 fn parse_head_lines(args: &[String]) -> Option<u64> {
@@ -851,12 +707,28 @@ mod tests {
             ("tr", strs(&["-d", "aeiou"])),
             ("tr", strs(&["-cs", "A-Za-z", "\n"])),
             ("tr", strs(&["-s", "a"])),
+            ("tr", strs(&["abc", "xy"])),
+            ("tr", strs(&["-c", "a-z\n", "_"])),
+            ("tr", strs(&["-cd", "a-z\n"])),
+            ("tr", strs(&["-ds", "a", "b"])),
+            ("tr", strs(&["-s", "a-z", "A-Z"])),
             ("grep", strs(&["the"])),
             ("grep", strs(&["-v", "a"])),
             ("grep", strs(&["-in", "hello"])),
             ("grep", strs(&["-E", "fox|dog"])),
             ("grep", strs(&["-F", "a:b"])),
+            ("grep", strs(&["^the"])),
+            ("grep", strs(&["a$"])),
+            ("grep", strs(&["-v", "^aaa$"])),
+            ("grep", strs(&["-E", "^the|[0-9]+ times$|^x"])),
+            ("grep", strs(&["-n", "^[a-z]*$"])),
             ("cut", strs(&["-c", "1-5"])),
+            ("cut", strs(&["-c", "3-"])),
+            ("cut", strs(&["-b", "4"])),
+            ("cut", strs(&["-c", "-2"])),
+            ("cut", strs(&["-c", "1-4,9-12"])),
+            ("cut", strs(&["-c", "7-,2-3"])),
+            ("cut", strs(&["-c", "3-", "--"])),
             ("cut", strs(&["-d:", "-f1,3"])),
             ("cut", strs(&["-d:", "-f2", "-s"])),
             ("sed", strs(&["s/a/X/g"])),
@@ -943,6 +815,37 @@ mod tests {
     fn squeeze_state_survives_chunk_boundaries() {
         // `tr -s` must squeeze runs that straddle chunk edges.
         conform(&[("tr", strs(&["-s", "a"]))], b"aaaaaaaabaaaa\naaaa");
+    }
+
+    /// Seeded fuzz of the shapes with a slice-speed body against the
+    /// utilities: random text, random operands, and chunk sizes that put
+    /// most boundaries inside a line.
+    #[test]
+    fn slice_bodies_conform_on_random_text() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(14);
+        for _ in 0..60 {
+            let mut text = Vec::new();
+            for _ in 0..rng.random_range(0..12) {
+                let len = rng.random_range(0..40);
+                text.extend((0..len).map(|_| b"abAB  9:\xc3"[rng.random_range(0..9)]));
+                text.push(b'\n');
+            }
+            if rng.random_range(0..3) == 0 {
+                text.pop();
+            }
+            let (lo, hi): (usize, usize) = (rng.random_range(1..20), rng.random_range(1..30));
+            let stage = match rng.random_range(0..7) {
+                0 => ("cut", vec!["-c".to_string(), format!("{lo}-{}", lo + hi)]),
+                1 => ("cut", vec!["-c".to_string(), format!("{lo}-")]),
+                2 => ("cut", vec![format!("-c{lo},{}-{}", lo + 2, lo + hi)]),
+                3 => ("tr", strs(&["a-b", "x"])),
+                4 => ("tr", strs(&["-d", "a9"])),
+                5 => ("tr", strs(&["-s", " a"])),
+                _ => ("tr", strs(&["-cs", "a-zA-Z", "\n"])),
+            };
+            conform(&[stage], &text);
+        }
     }
 
     #[test]

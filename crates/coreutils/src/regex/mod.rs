@@ -3,9 +3,13 @@
 //! Supports POSIX BRE (the `grep` default) and ERE (`grep -E`): literals,
 //! `.`, `*`, bracket classes with ranges and `[:classes:]`, `^`/`$`
 //! anchors, and — in ERE (or via `\+` etc. in BRE) — `+`, `?`, `|`, and
-//! grouping. Patterns compile to a Thompson NFA simulated with state sets,
-//! so matching is linear in the line length with no exponential
-//! backtracking (the property that lets `grep` stream gigabytes).
+//! grouping. A pattern is its top-level alternatives, each with its own
+//! anchors and its own program: an alternative that is nothing but
+//! literal bytes matches by a byte search (substring, prefix, suffix or
+//! equality, by its anchors); any other compiles to a Thompson NFA
+//! simulated with state sets in one pass over the line, so matching is
+//! linear in the line length with no exponential backtracking (the
+//! property that lets `grep` stream gigabytes).
 //!
 //! Bytes are matched byte-wise (ASCII semantics); multi-byte UTF-8 text
 //! passes through untouched because all metacharacters are ASCII.
@@ -13,84 +17,162 @@
 mod nfa;
 mod parse;
 
-pub use nfa::Nfa;
-pub use parse::{parse_pattern, Flavor, Node, RegexError};
+use nfa::Nfa;
+pub use parse::{parse_pattern, Branch, Flavor, Node, RegexError};
+
+/// How one alternative matches.
+enum Program {
+    /// These exact bytes (empty for a pattern that is only anchors).
+    Literal(Vec<u8>),
+    /// Anything else, and every `-i` pattern: case folding is done by
+    /// the simulation's byte test, not by a second search routine.
+    Nfa(Nfa),
+}
+
+struct Alternative {
+    program: Program,
+    anchored_start: bool,
+    anchored_end: bool,
+}
+
+impl Alternative {
+    fn compile(branch: &Branch, icase: bool) -> Alternative {
+        let literal = match &branch.node {
+            _ if icase => None,
+            Node::Empty => Some(Vec::new()),
+            Node::Char(c) => Some(vec![*c]),
+            Node::Concat(seq) => seq
+                .iter()
+                .map(|n| match n {
+                    Node::Char(c) => Some(*c),
+                    _ => None,
+                })
+                .collect(),
+            _ => None,
+        };
+        Alternative {
+            program: match literal {
+                Some(bytes) => Program::Literal(bytes),
+                None => Program::Nfa(Nfa::compile(&branch.node, icase)),
+            },
+            anchored_start: branch.anchored_start,
+            anchored_end: branch.anchored_end,
+        }
+    }
+
+    fn is_match(&self, line: &[u8]) -> bool {
+        match &self.program {
+            Program::Literal(lit) => match (self.anchored_start, self.anchored_end) {
+                (true, true) => line == lit.as_slice(),
+                (true, false) => line.starts_with(lit),
+                (false, true) => line.ends_with(lit),
+                (false, false) => find_bytes(line, lit).is_some(),
+            },
+            Program::Nfa(nfa) => nfa.is_match(line, self.anchored_start, self.anchored_end),
+        }
+    }
+
+    /// Leftmost-longest match within `line[start..]`, as offsets into
+    /// `line`.
+    fn find_from(&self, line: &[u8], start: usize) -> Option<(usize, usize)> {
+        if self.anchored_start && start > 0 {
+            return None;
+        }
+        let rest = &line[start..];
+        // One pass settles the common case, a line with no match in it,
+        // before any per-position work.
+        if !self.is_match(rest) {
+            return None;
+        }
+        let (begin, end) = match &self.program {
+            Program::Literal(lit) => {
+                let begin = if self.anchored_end {
+                    rest.len() - lit.len()
+                } else if self.anchored_start {
+                    0
+                } else {
+                    find_bytes(rest, lit)?
+                };
+                (begin, begin + lit.len())
+            }
+            Program::Nfa(nfa) => {
+                let last_begin = if self.anchored_start { 0 } else { rest.len() };
+                (0..=last_begin).find_map(|begin| {
+                    let end = nfa.longest_match(rest, begin)?;
+                    (!self.anchored_end || end == rest.len()).then_some((begin, end))
+                })?
+            }
+        };
+        Some((start + begin, start + end))
+    }
+}
+
+/// Offset of the first occurrence of `needle` in `hay`: scan for its
+/// first byte, compare the rest.
+fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let Some((&first, tail)) = needle.split_first() else {
+        return Some(0);
+    };
+    let last_begin = hay.len().checked_sub(needle.len())?;
+    let mut from = 0;
+    while from <= last_begin {
+        let at = from + hay[from..=last_begin].iter().position(|&b| b == first)?;
+        if hay[at + 1..].starts_with(tail) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
+}
 
 /// A compiled regular expression.
 pub struct Regex {
-    nfa: Nfa,
-    anchored_start: bool,
-    anchored_end: bool,
+    alternatives: Vec<Alternative>,
     icase: bool,
 }
 
 impl Regex {
     /// Compiles `pattern` in the given flavor.
     pub fn new(pattern: &str, flavor: Flavor, icase: bool) -> Result<Regex, RegexError> {
-        let (node, anchored_start, anchored_end) = parse_pattern(pattern, flavor)?;
-        let nfa = Nfa::compile(&node, icase);
+        let branches = parse_pattern(pattern, flavor)?;
         Ok(Regex {
-            nfa,
-            anchored_start,
-            anchored_end,
+            alternatives: branches
+                .iter()
+                .map(|b| Alternative::compile(b, icase))
+                .collect(),
             icase,
         })
     }
 
     /// Compiles a fixed string (`grep -F`).
     pub fn fixed(text: &str, icase: bool) -> Regex {
-        let node = Node::Concat(text.bytes().map(Node::Char).collect());
-        let nfa = Nfa::compile(&node, icase);
-        Regex {
-            nfa,
+        let branch = Branch {
+            node: Node::Concat(text.bytes().map(Node::Char).collect()),
             anchored_start: false,
             anchored_end: false,
+        };
+        Regex {
+            alternatives: vec![Alternative::compile(&branch, icase)],
             icase,
         }
     }
 
     /// Whether the line (without trailing newline) contains a match.
     ///
-    /// Single pass over the line (no per-position restarts), which is
-    /// what lets `grep` stream at disk speed.
+    /// One pass over the line per alternative, whatever its anchors —
+    /// which is what lets `grep` stream at disk speed.
     pub fn is_match(&self, line: &[u8]) -> bool {
-        if self.anchored_start || self.anchored_end {
-            return self.find_from(line, 0).is_some();
-        }
-        self.nfa.contains_match(line)
+        self.alternatives.iter().any(|a| a.is_match(line))
     }
 
     /// Finds the leftmost-longest match at or after `start`.
     ///
     /// Returns byte offsets `(begin, end)`.
     pub fn find_from(&self, line: &[u8], start: usize) -> Option<(usize, usize)> {
-        let starts: Box<dyn Iterator<Item = usize>> = if self.anchored_start {
-            if start == 0 {
-                Box::new(std::iter::once(0))
-            } else {
-                return None;
-            }
-        } else {
-            Box::new(start..=line.len())
-        };
-        for begin in starts {
-            if let Some(end) = self.nfa.longest_match(line, begin) {
-                if self.anchored_end && end != line.len() {
-                    // Try to extend: longest_match already returned the
-                    // longest, so an end-anchored match fails here unless
-                    // some accepted length reaches the end.
-                    if self.nfa.matches_to_end(line, begin) {
-                        return Some((begin, line.len()));
-                    }
-                    continue;
-                }
-                return Some((begin, end));
-            }
-            if self.anchored_end && self.nfa.matches_to_end(line, begin) {
-                return Some((begin, line.len()));
-            }
-        }
-        None
+        self.alternatives
+            .iter()
+            .filter_map(|a| a.find_from(line, start))
+            .min_by_key(|&(begin, end)| (begin, std::cmp::Reverse(end)))
     }
 
     /// Whether matching ignores ASCII case.
@@ -221,6 +303,53 @@ mod tests {
         let r = bre("999");
         assert!(r.is_match(b"9999"));
         assert!(!r.is_match(b"0042"));
+    }
+
+    #[test]
+    fn anchors_bind_to_their_own_alternative() {
+        let lines: [&[u8]; 4] = [b"apple", b"banana", b"cherry", b"xa"];
+        let hits =
+            |r: &Regex| -> Vec<&[u8]> { lines.iter().copied().filter(|l| r.is_match(l)).collect() };
+        assert_eq!(hits(&ere("^a|^b")), [&b"apple"[..], b"banana"]);
+        assert_eq!(hits(&ere("a$|y$")), [&b"banana"[..], b"cherry", b"xa"]);
+        assert_eq!(hits(&ere("x|^a")), [&b"apple"[..], b"xa"]);
+        assert_eq!(hits(&bre(r"^c\|a$")), [&b"banana"[..], b"cherry", b"xa"]);
+        assert_eq!(
+            hits(&ere("^apple$|^xa$|n[a-z]n")),
+            [&b"apple"[..], b"banana", b"xa"]
+        );
+    }
+
+    #[test]
+    fn literal_programs_by_anchor() {
+        assert!(bre("^").is_match(b""));
+        assert!(bre("$").is_match(b"abc"));
+        assert!(bre("^abc$").is_match(b"abc"));
+        assert!(!bre("^abc$").is_match(b"abcabc"));
+        assert!(bre("abc$").is_match(b"abcabc"));
+        assert!(bre("bca").is_match(b"abcabc"));
+        assert!(!bre("abcabca").is_match(b"abcabc"));
+        // A false start on the first byte does not lose the real match.
+        assert!(bre("aab").is_match(b"aaab"));
+        assert!(bre(r"a\.c$").is_match(b"xa.c"));
+        assert!(!bre(r"a\.c$").is_match(b"xabc"));
+    }
+
+    #[test]
+    fn find_is_leftmost_then_longest_over_alternatives() {
+        let r = ere("bc|abcd|ab");
+        assert_eq!(r.find_from(b"xabcd", 0), Some((1, 5)));
+        assert_eq!(r.find_from(b"xabcd", 2), Some((2, 4)));
+        let r = ere("d$|^x|b+");
+        assert_eq!(r.find_from(b"xabbd", 0), Some((0, 1)));
+        assert_eq!(r.find_from(b"xabbd", 1), Some((2, 4)));
+        assert_eq!(r.find_from(b"xabbd", 4), Some((4, 5)));
+        assert_eq!(r.find_from(b"xabbd", 5), None);
+        // End-anchored, not literal: the match that reaches the end.
+        let r = bre("ab*$");
+        assert_eq!(r.find_from(b"abxabb", 0), Some((3, 6)));
+        assert_eq!(r.find_from(b"abxabbx", 0), None);
+        assert_eq!(bre("$").find_from(b"abc", 0), Some((3, 3)));
     }
 
     #[test]

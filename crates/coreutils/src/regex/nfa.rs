@@ -7,7 +7,10 @@ use super::parse::Node;
 enum Matcher {
     Byte(u8),
     Any,
-    Class { negated: bool, ranges: Vec<(u8, u8)> },
+    Class {
+        negated: bool,
+        ranges: Vec<(u8, u8)>,
+    },
 }
 
 impl Matcher {
@@ -38,7 +41,10 @@ struct State {
 /// A compiled NFA with a single start and a single accept state.
 pub struct Nfa {
     states: Vec<State>,
-    start: usize,
+    /// Epsilon closure of the start state, as a bitset over `states`:
+    /// what the simulation begins from, and re-seeds at every byte of an
+    /// unanchored search.
+    start_set: Vec<u64>,
     accept: usize,
     icase: bool,
 }
@@ -48,17 +54,16 @@ impl Nfa {
     pub fn compile(node: &Node, icase: bool) -> Nfa {
         let mut nfa = Nfa {
             states: Vec::new(),
-            start: 0,
+            start_set: Vec::new(),
             accept: 0,
             icase,
         };
-        let start = nfa.new_state();
-        let (frag_in, frag_out) = nfa.build(node);
-        let accept = nfa.new_state();
-        nfa.states[start].eps.push(frag_in);
-        nfa.states[frag_out].eps.push(accept);
-        nfa.start = start;
-        nfa.accept = accept;
+        let (start, frag_out) = nfa.build(node);
+        nfa.accept = nfa.new_state();
+        nfa.states[frag_out].eps.push(nfa.accept);
+        let mut start_set = vec![0; nfa.states.len().div_ceil(64)];
+        nfa.add_closure(start, &mut start_set, &mut Vec::new());
+        nfa.start_set = start_set;
         nfa
     }
 
@@ -172,134 +177,105 @@ impl Nfa {
         }
     }
 
-    fn eps_closure(&self, set: &mut [bool], work: &mut Vec<usize>) {
-        while let Some(s) = work.pop() {
+    /// Adds `s` and everything reachable from it over epsilon edges to
+    /// `set`. `stack` is scratch: each state is pushed at most once, so
+    /// given room for every state nothing here touches the heap.
+    fn add_closure(&self, s: usize, set: &mut [u64], stack: &mut Vec<usize>) {
+        if test(set, s) {
+            return;
+        }
+        insert(set, s);
+        stack.push(s);
+        while let Some(s) = stack.pop() {
             for &t in &self.states[s].eps {
-                if !set[t] {
-                    set[t] = true;
-                    work.push(t);
+                if !test(set, t) {
+                    insert(set, t);
+                    stack.push(t);
                 }
             }
         }
     }
 
-    /// One-pass unanchored containment test: the start state stays live
-    /// at every position (the `.*`-prefix trick), so the whole line is
-    /// scanned once regardless of where a match begins.
-    pub fn contains_match(&self, line: &[u8]) -> bool {
-        let mut cur = vec![false; self.states.len()];
-        cur[self.start] = true;
-        let mut work = vec![self.start];
-        self.eps_closure(&mut cur, &mut work);
-        if cur[self.accept] {
-            return true;
+    /// The state-set simulation, one pass over `line` whatever the
+    /// anchors are. A match may begin at any position when `floating`
+    /// (the start set is re-seeded at every byte), else only at 0; with
+    /// `to_end` it must end at the end of the line (acceptance is read
+    /// there only). Returns the end of the first match met, or of the
+    /// longest one when `longest` — only meaningful for a fixed start.
+    fn run(&self, line: &[u8], floating: bool, to_end: bool, longest: bool) -> Option<usize> {
+        let words = self.start_set.len();
+        let mut sets = vec![0u64; 2 * words];
+        let (mut cur, mut next) = sets.split_at_mut(words);
+        let mut stack = Vec::with_capacity(self.states.len());
+        cur.copy_from_slice(&self.start_set);
+        let mut best = None;
+        if !to_end && test(cur, self.accept) {
+            if !longest {
+                return Some(0);
+            }
+            best = Some(0);
         }
-        let mut next = vec![false; self.states.len()];
-        for &b in line {
-            next.iter_mut().for_each(|v| *v = false);
-            let mut work = Vec::new();
-            for (s, &active) in cur.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                for (m, t) in &self.states[s].trans {
-                    if m.matches(b, self.icase) && !next[*t] {
-                        next[*t] = true;
-                        work.push(*t);
+        for (i, &b) in line.iter().enumerate() {
+            if floating {
+                next.copy_from_slice(&self.start_set);
+            } else {
+                next.fill(0);
+            }
+            for (w, &word) in cur.iter().enumerate() {
+                let mut live = word;
+                while live != 0 {
+                    let s = w * 64 + live.trailing_zeros() as usize;
+                    live &= live - 1;
+                    for (m, t) in &self.states[s].trans {
+                        if m.matches(b, self.icase) {
+                            self.add_closure(*t, next, &mut stack);
+                        }
                     }
                 }
             }
-            // A match may begin at the next position.
-            if !next[self.start] {
-                next[self.start] = true;
-                work.push(self.start);
-            }
-            self.eps_closure(&mut next, &mut work);
             std::mem::swap(&mut cur, &mut next);
-            if cur[self.accept] {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Longest match length starting exactly at `begin`; `None` if no
-    /// match starts there.
-    pub fn longest_match(&self, line: &[u8], begin: usize) -> Option<usize> {
-        let mut cur = vec![false; self.states.len()];
-        cur[self.start] = true;
-        let mut work = vec![self.start];
-        self.eps_closure(&mut cur, &mut work);
-
-        let mut best = if cur[self.accept] { Some(begin) } else { None };
-        let mut next = vec![false; self.states.len()];
-        for (i, &b) in line[begin..].iter().enumerate() {
-            next.iter_mut().for_each(|v| *v = false);
-            let mut work = Vec::new();
-            for (s, &active) in cur.iter().enumerate() {
-                if !active {
-                    continue;
+            if !to_end && test(cur, self.accept) {
+                if !longest {
+                    return Some(i + 1);
                 }
-                for (m, t) in &self.states[s].trans {
-                    if m.matches(b, self.icase) && !next[*t] {
-                        next[*t] = true;
-                        work.push(*t);
-                    }
-                }
-            }
-            if work.is_empty() {
+                best = Some(i + 1);
+            } else if !floating && cur.iter().all(|&w| w == 0) {
                 return best;
             }
-            self.eps_closure(&mut next, &mut work);
-            std::mem::swap(&mut cur, &mut next);
-            if cur[self.accept] {
-                best = Some(begin + i + 1);
-            }
+        }
+        if to_end && test(cur, self.accept) {
+            best = Some(line.len());
         }
         best
     }
 
-    /// Whether some match starting at `begin` consumes the entire line.
-    pub fn matches_to_end(&self, line: &[u8], begin: usize) -> bool {
-        self.longest_match(line, begin) == Some(line.len())
-            || self.any_match_ends_at(line, begin, line.len())
+    /// Whether `line` has a match, starting at 0 only if `anchored_start`
+    /// and ending at its end only if `anchored_end`.
+    pub fn is_match(&self, line: &[u8], anchored_start: bool, anchored_end: bool) -> bool {
+        self.run(line, !anchored_start, anchored_end, false)
+            .is_some()
     }
 
-    fn any_match_ends_at(&self, line: &[u8], begin: usize, end: usize) -> bool {
-        // The longest match is the only one we track; for end-anchored
-        // matching, rerun and check whether the accept state is live when
-        // the cursor reaches `end`.
-        let mut cur = vec![false; self.states.len()];
-        cur[self.start] = true;
-        let mut work = vec![self.start];
-        self.eps_closure(&mut cur, &mut work);
-        for &b in &line[begin..end] {
-            let mut next = vec![false; self.states.len()];
-            let mut work = Vec::new();
-            for (s, &active) in cur.iter().enumerate() {
-                if !active {
-                    continue;
-                }
-                for (m, t) in &self.states[s].trans {
-                    if m.matches(b, self.icase) && !next[*t] {
-                        next[*t] = true;
-                        work.push(*t);
-                    }
-                }
-            }
-            if work.is_empty() {
-                return false;
-            }
-            self.eps_closure(&mut next, &mut work);
-            cur = next;
-        }
-        cur[self.accept]
+    /// End of the longest match starting exactly at `begin`; `None` if
+    /// no match starts there.
+    pub fn longest_match(&self, line: &[u8], begin: usize) -> Option<usize> {
+        self.run(&line[begin..], false, false, true)
+            .map(|end| begin + end)
     }
 
     /// Number of states (diagnostics).
+    #[cfg(test)]
     pub fn state_count(&self) -> usize {
         self.states.len()
     }
+}
+
+fn test(set: &[u64], s: usize) -> bool {
+    set[s / 64] >> (s % 64) & 1 != 0
+}
+
+fn insert(set: &mut [u64], s: usize) {
+    set[s / 64] |= 1 << (s % 64);
 }
 
 #[cfg(test)]
@@ -309,8 +285,8 @@ mod tests {
     use crate::regex::Flavor;
 
     fn nfa(p: &str) -> Nfa {
-        let (node, ..) = parse_pattern(p, Flavor::Ere).unwrap();
-        Nfa::compile(&node, false)
+        let branches = parse_pattern(p, Flavor::Ere).unwrap();
+        Nfa::compile(&branches[0].node, false)
     }
 
     #[test]
@@ -319,12 +295,27 @@ mod tests {
         assert_eq!(n.longest_match(b"abbbx", 0), Some(4));
         assert_eq!(n.longest_match(b"x", 0), None);
         assert_eq!(n.longest_match(b"a", 0), Some(1));
+        assert_eq!(n.longest_match(b"xabb", 1), Some(4));
+    }
+
+    #[test]
+    fn one_pass_anchors() {
+        let n = nfa("ab*");
+        assert!(n.is_match(b"xxabx", false, false));
+        assert!(!n.is_match(b"xxabx", true, false));
+        assert!(!n.is_match(b"xxabx", false, true));
+        assert!(n.is_match(b"xxab", false, true));
+        assert!(n.is_match(b"abbb", true, true));
+        assert!(!n.is_match(b"", false, false));
     }
 
     #[test]
     fn empty_matches_at_position() {
         let n = nfa("x?");
         assert_eq!(n.longest_match(b"y", 0), Some(0));
+        // At the end of the line too, which is where `$` reads it.
+        assert!(n.is_match(b"y", false, true));
+        assert!(!n.is_match(b"y", true, true));
     }
 
     #[test]
@@ -338,5 +329,16 @@ mod tests {
     fn state_count_linear() {
         let n = nfa("(a|b)*c{1,4}");
         assert!(n.state_count() < 64);
+    }
+
+    #[test]
+    fn sets_wider_than_one_word() {
+        let n = nfa("(ab){40}c");
+        assert!(n.state_count() > 128);
+        let mut line = b"ab".repeat(40);
+        assert!(!n.is_match(&line, false, false));
+        line.push(b'c');
+        assert!(n.is_match(&line, true, true));
+        assert_eq!(n.longest_match(&line, 0), Some(81));
     }
 }

@@ -53,50 +53,62 @@ pub enum Node {
     Repeat(Box<Node>, usize, usize),
 }
 
-/// Parses `pattern`, returning the tree plus start/end anchor flags.
-pub fn parse_pattern(pattern: &str, flavor: Flavor) -> Result<(Node, bool, bool), RegexError> {
-    let bytes = pattern.as_bytes();
-    let (anchored_start, rest) = match bytes.first() {
-        Some(b'^') => (true, &bytes[1..]),
-        _ => (false, bytes),
-    };
-    let (anchored_end, rest) = match rest.last() {
-        // `$` is an anchor only at the very end (both dialects in practice).
-        Some(b'$') if !ends_with_escape(rest) => (true, &rest[..rest.len() - 1]),
-        _ => (false, rest),
-    };
+/// One top-level alternative of a pattern, with the anchors that bind
+/// to it alone (`^a|b$` anchors `a` at the start and `b` at the end).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Branch {
+    /// The alternative's body, anchors stripped.
+    pub node: Node,
+    /// The alternative began with `^`.
+    pub anchored_start: bool,
+    /// The alternative ended with an unescaped `$`.
+    pub anchored_end: bool,
+}
+
+/// Parses `pattern` into its top-level alternatives (one for a pattern
+/// without a top-level `|`).
+pub fn parse_pattern(pattern: &str, flavor: Flavor) -> Result<Vec<Branch>, RegexError> {
     let mut p = P {
-        bytes: rest,
+        bytes: pattern.as_bytes(),
         pos: 0,
         flavor,
+        depth: 0,
     };
-    let node = p.alternation()?;
+    let mut branches = Vec::new();
+    loop {
+        let anchored_start = p.peek() == Some(b'^');
+        if anchored_start {
+            p.pos += 1;
+        }
+        let node = p.concat()?;
+        let anchored_end = p.at_end_anchor();
+        if anchored_end {
+            p.pos += 1;
+        }
+        branches.push(Branch {
+            node,
+            anchored_start,
+            anchored_end,
+        });
+        if !p.eat_op(b'|') {
+            break;
+        }
+    }
     if p.pos != p.bytes.len() {
         return Err(RegexError(format!(
             "unexpected `{}`",
             p.bytes[p.pos] as char
         )));
     }
-    Ok((node, anchored_start, anchored_end))
-}
-
-fn ends_with_escape(bytes: &[u8]) -> bool {
-    // `...\$` keeps the dollar literal; count trailing backslashes.
-    let mut n = 0;
-    for &b in bytes[..bytes.len().saturating_sub(1)].iter().rev() {
-        if b == b'\\' {
-            n += 1;
-        } else {
-            break;
-        }
-    }
-    n % 2 == 1
+    Ok(branches)
 }
 
 struct P<'a> {
     bytes: &'a [u8],
     pos: usize,
     flavor: Flavor,
+    /// Open groups; anchors are recognised at depth 0 only.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -156,18 +168,30 @@ impl<'a> P<'a> {
         }
     }
 
-    fn at_alt(&self) -> bool {
+    fn at_alt(&self, pos: usize) -> bool {
         match self.flavor {
-            Flavor::Ere => self.peek() == Some(b'|'),
+            Flavor::Ere => self.bytes.get(pos) == Some(&b'|'),
             Flavor::Bre => {
-                self.peek() == Some(b'\\') && self.bytes.get(self.pos + 1) == Some(&b'|')
+                self.bytes.get(pos) == Some(&b'\\') && self.bytes.get(pos + 1) == Some(&b'|')
             }
         }
     }
 
+    /// An unescaped `$` that closes a top-level alternative. Anywhere
+    /// else (mid-pattern, inside a group) `$` is a literal.
+    fn at_end_anchor(&self) -> bool {
+        self.depth == 0
+            && self.peek() == Some(b'$')
+            && (self.pos + 1 == self.bytes.len() || self.at_alt(self.pos + 1))
+    }
+
     fn concat(&mut self) -> Result<Node, RegexError> {
         let mut seq = Vec::new();
-        while self.peek().is_some() && !self.at_group_close() && !self.at_alt() {
+        while self.peek().is_some()
+            && !self.at_group_close()
+            && !self.at_alt(self.pos)
+            && !self.at_end_anchor()
+        {
             seq.push(self.repeated()?);
         }
         Ok(match seq.len() {
@@ -205,10 +229,12 @@ impl<'a> P<'a> {
     fn try_interval(&mut self) -> Result<Option<(usize, usize)>, RegexError> {
         let save = self.pos;
         let open = match self.flavor {
-            Flavor::Ere => self.peek() == Some(b'{') && {
-                self.pos += 1;
-                true
-            },
+            Flavor::Ere => {
+                self.peek() == Some(b'{') && {
+                    self.pos += 1;
+                    true
+                }
+            }
             Flavor::Bre => self.eat_op(b'{'),
         };
         if !open {
@@ -275,7 +301,9 @@ impl<'a> P<'a> {
             Flavor::Bre => self.eat_op(b'('),
         };
         if group_open {
+            self.depth += 1;
             let inner = self.alternation()?;
+            self.depth -= 1;
             if !match self.flavor {
                 Flavor::Ere => {
                     if self.peek() == Some(b')') {
@@ -393,58 +421,104 @@ fn named_class(name: &[u8]) -> Result<Vec<(u8, u8)>, RegexError> {
 mod tests {
     use super::*;
 
+    /// The single alternative of a pattern without a top-level `|`.
+    fn one(pattern: &str, flavor: Flavor) -> Branch {
+        let mut branches = parse_pattern(pattern, flavor).unwrap();
+        assert_eq!(branches.len(), 1, "{pattern}");
+        branches.pop().unwrap()
+    }
+
+    fn chars(text: &str) -> Node {
+        Node::Concat(text.bytes().map(Node::Char).collect())
+    }
+
     #[test]
     fn parse_simple() {
-        let (node, s, e) = parse_pattern("abc", Flavor::Bre).unwrap();
-        assert!(!s && !e);
-        assert_eq!(
-            node,
-            Node::Concat(vec![Node::Char(b'a'), Node::Char(b'b'), Node::Char(b'c')])
-        );
+        let b = one("abc", Flavor::Bre);
+        assert!(!b.anchored_start && !b.anchored_end);
+        assert_eq!(b.node, chars("abc"));
     }
 
     #[test]
     fn parse_anchors() {
-        let (_, s, e) = parse_pattern("^x$", Flavor::Bre).unwrap();
-        assert!(s && e);
-        let (node, _, e) = parse_pattern(r"x\$", Flavor::Bre).unwrap();
-        assert!(!e);
-        assert_eq!(node, Node::Concat(vec![Node::Char(b'x'), Node::Char(b'$')]));
+        let b = one("^x$", Flavor::Bre);
+        assert!(b.anchored_start && b.anchored_end);
+        assert_eq!(b.node, Node::Char(b'x'));
+        let b = one(r"x\$", Flavor::Bre);
+        assert!(!b.anchored_end);
+        assert_eq!(b.node, chars("x$"));
+        // An escaped backslash does not escape the dollar after it.
+        let b = one(r"x\\$", Flavor::Bre);
+        assert!(b.anchored_end);
+        assert_eq!(b.node, chars(r"x\"));
+        // Mid-pattern they are ordinary characters.
+        let b = one("a^b$c", Flavor::Bre);
+        assert!(!b.anchored_start && !b.anchored_end);
+        assert_eq!(b.node, chars("a^b$c"));
+    }
+
+    #[test]
+    fn anchors_bind_to_their_own_alternative() {
+        let bs = parse_pattern("^a|b$|c", Flavor::Ere).unwrap();
+        let flags: Vec<(bool, bool)> = bs
+            .iter()
+            .map(|b| (b.anchored_start, b.anchored_end))
+            .collect();
+        assert_eq!(flags, [(true, false), (false, true), (false, false)]);
+        assert_eq!(bs[1].node, Node::Char(b'b'));
+        let bs = parse_pattern(r"x\|^a$", Flavor::Bre).unwrap();
+        assert_eq!(bs.len(), 2);
+        assert!(bs[1].anchored_start && bs[1].anchored_end);
+        // Inside a group they stay literal characters (DESIGN §10).
+        let b = one("(^a|b$)", Flavor::Ere);
+        assert!(!b.anchored_start && !b.anchored_end);
+        assert_eq!(b.node, Node::Alt(vec![chars("^a"), chars("b$")]));
     }
 
     #[test]
     fn parse_star_and_interval() {
-        let (node, ..) = parse_pattern("a*", Flavor::Bre).unwrap();
-        assert_eq!(node, Node::Star(Box::new(Node::Char(b'a'))));
-        let (node, ..) = parse_pattern("a{2,4}", Flavor::Ere).unwrap();
-        assert_eq!(node, Node::Repeat(Box::new(Node::Char(b'a')), 2, 4));
-        let (node, ..) = parse_pattern(r"a\{2\}", Flavor::Bre).unwrap();
-        assert_eq!(node, Node::Repeat(Box::new(Node::Char(b'a')), 2, 2));
+        assert_eq!(
+            one("a*", Flavor::Bre).node,
+            Node::Star(Box::new(Node::Char(b'a')))
+        );
+        assert_eq!(
+            one("a{2,4}", Flavor::Ere).node,
+            Node::Repeat(Box::new(Node::Char(b'a')), 2, 4)
+        );
+        assert_eq!(
+            one(r"a\{2\}", Flavor::Bre).node,
+            Node::Repeat(Box::new(Node::Char(b'a')), 2, 2)
+        );
     }
 
     #[test]
     fn ere_braces_literal_in_bre() {
         // In BRE an unescaped `{` is literal.
-        let (node, ..) = parse_pattern("a{2}", Flavor::Bre).unwrap();
-        assert!(matches!(node, Node::Concat(_)));
+        assert!(matches!(one("a{2}", Flavor::Bre).node, Node::Concat(_)));
     }
 
     #[test]
     fn bracket_parsing() {
-        let (node, ..) = parse_pattern("[a-c5]", Flavor::Bre).unwrap();
         assert_eq!(
-            node,
+            one("[a-c5]", Flavor::Bre).node,
             Node::Class {
                 negated: false,
                 ranges: vec![(b'a', b'c'), (b'5', b'5')]
             }
         );
-        let (node, ..) = parse_pattern("[]]", Flavor::Bre).unwrap();
         assert_eq!(
-            node,
+            one("[]]", Flavor::Bre).node,
             Node::Class {
                 negated: false,
                 ranges: vec![(b']', b']')]
+            }
+        );
+        // `$` and `|` inside a bracket are members, not operators.
+        assert_eq!(
+            one("[|$]", Flavor::Ere).node,
+            Node::Class {
+                negated: false,
+                ranges: vec![(b'|', b'|'), (b'$', b'$')]
             }
         );
     }

@@ -67,12 +67,15 @@ pub fn for_each_input_chunk(
 
 /// Calls `f` for every input line (newline included except possibly on the
 /// final line). Reads the file operands, or stdin when none are given.
+/// What `f` appends to its buffer is written out once per input chunk,
+/// when that chunk's lines are exhausted — one write for the lines that
+/// arrived together, and none held back while waiting for more input.
 /// Returns nonzero if any file failed to open.
 pub fn for_each_input_line(
     files: &[String],
     io: &mut UtilIo<'_>,
     ctx: &UtilCtx,
-    mut f: impl FnMut(&mut dyn Sink, &[u8]) -> io::Result<bool>,
+    mut f: impl FnMut(&mut Vec<u8>, &[u8]) -> io::Result<bool>,
 ) -> io::Result<i32> {
     let mut lb = LineBuffer::new();
     let mut status = 0;
@@ -83,15 +86,16 @@ pub fn for_each_input_line(
                     chunk: Bytes,
                     done: &mut bool|
      -> io::Result<()> {
-        if *done {
-            return Ok(());
-        }
+        let mut out = Vec::new();
         lb.push_bytes(chunk);
         while let Some(line) = lb.next_line_ref() {
-            if !f(stdout, line)? {
+            if !f(&mut out, line)? {
                 *done = true;
-                return Ok(());
+                break;
             }
+        }
+        if !out.is_empty() {
+            stdout.write_chunk(Bytes::from(out))?;
         }
         Ok(())
     };
@@ -132,7 +136,9 @@ pub fn for_each_input_line(
     }
     if !done {
         if let Some(rest) = lb.take_rest() {
-            f(io.stdout, &rest)?;
+            let mut out = Vec::new();
+            f(&mut out, &rest)?;
+            write_stdout(io, &out)?;
         }
     }
     Ok(status)

@@ -397,6 +397,8 @@ fn random_pipeline(seed: u64) -> String {
         "tr A-Z a-z",
         "tr -cs A-Za-z '\\n'",
         "tr -d 0-9",
+        "tr -d aeiou",
+        "tr -s a-z",
         "sort",
         "sort -n",
         "sort -u",
@@ -407,8 +409,14 @@ fn random_pipeline(seed: u64) -> String {
         "grep shell",
         "grep -i SHELL",
         "grep -F pipeline",
+        "grep '^Word'",
+        "grep 'ell$'",
+        "grep -E 'shell|^Word[0-9]'",
+        "grep -c shell",
         "cut -c 1-6",
         "cut -c 2-9",
+        "cut -c 3-",
+        "cut -c 1-4,9-12",
         "sed s/Word/W/g",
         "sed s/shell/sh3ll/",
         "rev",
@@ -517,12 +525,18 @@ fn random_control_flow(seed: u64) -> (u64, String) {
         "cat $f | grep -v Word1 | wc -l",
         "cat $f | tr -d 0-9 | sort | head -n4",
         "cat $f | cut -c 1-8 | sort -u | head -n5",
+        "cat $f | grep '^Word' | cut -c 3- | sort -u | head -n5",
+        "cat $f | tr -s a-z | grep -E 'shel|^Word[0-9]' | cut -c 1-4,9-12 | head -n6",
+        "cat $f | tr -d aeiou | grep -c 'll$'",
     ];
     // Bodies over a loop-bound *word* (re-planned per distinct operand).
     let word_bodies = [
         "cat /data/mixed.txt | grep -i $w | tr A-Z a-z | sort | head -n5",
         "grep $w /data/mixed.txt | wc -l",
         "cat /data/mixed.txt | grep $w | cut -c 1-12 | sort -u | head -n4",
+        "cat /data/mixed.txt | grep \"^$w\" | cut -c 3- | sort -u | head -n4",
+        "cat /data/mixed.txt | cut -c 1-4,9-12 | tr -s a-z | grep -c -E \"$w|^Word[0-9]\"",
+        "tr -cs A-Za-z0-9 '\\n' < /data/mixed.txt | grep \"$w\\$\" | sort | uniq -c",
     ];
     let words = ["shell", "pipeline", "mixed", "Word1", "Word7", "word"];
     let src = match class {

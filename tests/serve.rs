@@ -810,16 +810,18 @@ fn submit_with_retry_rides_out_connect_failure_and_overload() {
         r
     };
     let mut wedged = Vec::new();
-    for _ in 0..2 {
+    for queued in 0..2 {
         wedged.push(
             jash::serve::submit_detached(&rig.socket, &stall())
                 .unwrap()
                 .expect("admitted"),
         );
+        // The first must be running, not still in the one-slot queue,
+        // before the second is submitted, or the second is shed.
+        poll_until("1 active + the rest queued", Duration::from_secs(5), || {
+            rig.server.load() == (1, queued)
+        });
     }
-    poll_until("1 active + 1 queued", Duration::from_secs(5), || {
-        rig.server.load() == (1, 1)
-    });
     let racer = {
         let socket = rig.socket.clone();
         let retry = retry();
