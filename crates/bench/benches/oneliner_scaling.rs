@@ -50,7 +50,7 @@ fn main() {
                 shell.planner.force_width = Some(w);
                 let t0 = std::time::Instant::now();
                 let r = shell.run_script(&mut state, script).expect("runs");
-                (t0.elapsed(), r, shell.core.trace)
+                (t0.elapsed(), r, shell.trace)
             };
             assert!(result.status == 0 || result.status == 1, "{trace:?}");
             match &reference {

@@ -409,8 +409,8 @@ pub fn run_supervision_sweep(
             },
         };
         let out_file = jash_io::fs::read_to_vec(inner.as_ref(), "/out").ok();
-        let hits = shell.core.plan_cache.hits;
-        (result, out_file, debris(&inner), shell.core.runtime, hits)
+        let hits = shell.plan_cache.hits;
+        (result, out_file, debris(&inner), shell.runtime, hits)
     };
 
     cases

@@ -124,7 +124,7 @@ pub fn run_engine_traced(
     let result = shell
         .run_script(&mut state, script)
         .expect("benchmark script runs");
-    (t0.elapsed(), result, shell.core.trace)
+    (t0.elapsed(), result, shell.trace)
 }
 
 // ---------------------------------------------------------------------

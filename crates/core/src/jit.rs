@@ -4,15 +4,18 @@
 //! for rewriting. Since Jash works dynamically, it can take into account
 //! current system conditions to decide whether to even try to apply
 //! optimizations!" (paper §3.2). The loop here is exactly that
-//! architecture: interpretation by `jash-interp` for everything dynamic,
-//! and — per top-level pipeline — an attempt to extract, compile, plan,
+//! architecture: `jash-interp` owns control flow and walks every
+//! statement, and the session rides along as its [`PipelineJit`] hook.
+//! Every pipeline the walk reaches — at the top level or under `if`,
+//! `while`, `for`, brace groups and `&&`/`||` — is offered to the engine
+//! at its expansion boundary, which attempts to extract, compile, plan,
 //! and execute a dataflow region with live information (variable values,
-//! file sizes, machine resources).
+//! file sizes, machine resources). There is no other way in.
 
 use crate::engine::{Action, Engine, RegionFailure, RuntimeInfo, TraceEvent};
 use crate::plancache::{byte_bucket, options_signature, PlanCache};
 use crate::recovery::{self, RecoveryReport, ResumePlan};
-use crate::region::{jit_region, resolve_paths, static_region, Ineligible};
+use crate::region::{jit_region, resolve_paths, static_region};
 use crate::supervise::{degradation_ladder, resource_pressure, CircuitBreaker, Route};
 use jash_ast::{AndOrList, CommandKind, ListItem, Pipeline, Program};
 use jash_cost::{
@@ -34,47 +37,17 @@ use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A Jash shell session: the JIT engine core plus the interpreter it
-/// delegates dynamic execution to.
-///
-/// The split matters for borrow reasons: while the interpreter walks a
-/// compound statement it holds `&mut Interpreter`, and at every pipeline
-/// it reaches it offers the engine (as [`PipelineJit`]) a chance to run
-/// the region — which needs `&mut JitCore`. Keeping the two halves as
-/// sibling fields lets both be borrowed at once. `Deref`/`DerefMut` to
-/// [`JitCore`] keep the session's public field surface (`planner`,
-/// `trace`, `breaker`, …) unchanged.
-pub struct Jash {
-    /// The engine: planner, supervisor, journal, trace — everything but
-    /// the interpreter.
-    pub core: JitCore,
-    interp: Interpreter,
-}
-
-impl std::ops::Deref for Jash {
-    type Target = JitCore;
-    fn deref(&self) -> &JitCore {
-        &self.core
-    }
-}
-
-impl std::ops::DerefMut for Jash {
-    fn deref_mut(&mut self) -> &mut JitCore {
-        &mut self.core
-    }
-}
-
-/// An open nested-region record: accounting the JIT callout opened for a
-/// pipeline it declined, closed by [`PipelineJit::pipeline_interpreted`].
-struct NestedRegion {
+/// An open region span: opened by [`Jash::open_region`] and closed, with
+/// the region's outcome, by [`Jash::close_region`].
+struct OpenRegion {
     span: Option<SpanId>,
     prev_region: Option<SpanId>,
     sup_mark: usize,
 }
 
-/// The engine state of a [`Jash`] session (everything except the
-/// interpreter). All session tunables live here; `Jash` derefs to it.
-pub struct JitCore {
+/// A Jash shell session: the JIT engine (planner, supervisor, journal,
+/// trace) plus the interpreter it delegates dynamic execution to.
+pub struct Jash {
     /// Strategy under evaluation.
     pub engine: Engine,
     /// The machine the planner believes it is running on.
@@ -113,10 +86,12 @@ pub struct JitCore {
     /// kernel → unfused pipeline → interpreter degradation ladder.
     pub kernel_fault: Option<String>,
     /// Structured trace collector (`--trace` / `JASH_TRACE`). When set,
-    /// the session records a `run` span, one `region` span per top-level
-    /// statement, `node` spans for every dataflow node the executor ran,
-    /// supervision events, and the timing/memo/journal metrics — all
-    /// drained to schema-v1 JSONL at the end of the run.
+    /// the session records a `run` span, one `region` span per pipeline
+    /// offered to the engine (under a statement span when the pipeline
+    /// sits inside a compound statement), `node` spans for every
+    /// dataflow node the executor ran, supervision events, and the
+    /// timing/memo/journal metrics — all drained to schema-v1 JSONL at
+    /// the end of the run.
     pub tracer: Option<Arc<Tracer>>,
     /// Profile-fed planner calibration: per-command throughput recorded
     /// by a previous run's trace (`--calibrate FILE`). `None` = the
@@ -138,7 +113,7 @@ pub struct JitCore {
     resume: Option<ResumePlan>,
     /// Open `run` span while `run_program` is on the stack.
     current_run: Option<SpanId>,
-    /// Open `region` span while `run_item` is on the stack.
+    /// Innermost open `region` span.
     current_region: Option<SpanId>,
     /// Per-fingerprint plan cache: loop iterations 2..N reuse iteration
     /// 1's planning decision (see [`crate::plancache`] for the
@@ -150,18 +125,45 @@ pub struct JitCore {
     loop_iters: Vec<u64>,
     /// Open accounting for pipelines offered at expansion boundaries and
     /// declined (closed when the interpretation finishes).
-    nested: Vec<NestedRegion>,
+    nested: Vec<OpenRegion>,
     /// High-water mark of supervision events already mirrored onto the
     /// trace timeline, so nested regions and the enclosing statement
     /// never mirror the same event twice.
     mirrored: usize,
+    /// The tree walker that owns control flow. Moved out for the length
+    /// of each statement's walk, so the session itself can be the walk's
+    /// [`PipelineJit`] hook.
+    interp: Interpreter,
 }
 
 impl Jash {
     /// Creates a session for `engine` on `machine`.
     pub fn new(engine: Engine, machine: MachineProfile) -> Self {
         Jash {
-            core: JitCore::new(engine, machine),
+            engine,
+            machine,
+            registry: jash_spec::Registry::builtin(),
+            planner: PlannerOptions::default(),
+            trace: Vec::new(),
+            runtime: RuntimeInfo::default(),
+            node_timeout: None,
+            cancel: None,
+            retry_policy: RetryPolicy::default(),
+            breaker: CircuitBreaker::default(),
+            durable: true,
+            kernel_fault: None,
+            tracer: None,
+            calibration: None,
+            run_attrs: Vec::new(),
+            journal: None,
+            memo: None,
+            resume: None,
+            current_run: None,
+            current_region: None,
+            plan_cache: PlanCache::new(),
+            loop_iters: Vec::new(),
+            nested: Vec::new(),
+            mirrored: 0,
             interp: Interpreter::new(),
         }
     }
@@ -197,7 +199,6 @@ impl Jash {
         });
         self.current_run = run_span;
         let mut status = 0;
-        let mut flow_exit = None;
         let mut shut_down = false;
         for item in &prog.items {
             // Graceful shutdown: a signal tripped the session token
@@ -212,7 +213,6 @@ impl Jash {
                 Ok(s) => status = s,
                 Err(InterpError::Flow(Flow::Exit(s))) => {
                     status = s;
-                    flow_exit = Some(s);
                     break;
                 }
                 Err(e) => {
@@ -227,11 +227,9 @@ impl Jash {
             }
             state.last_status = status;
             if status != 0 && state.errexit {
-                flow_exit = Some(status);
                 break;
             }
         }
-        let _ = flow_exit;
         // A shutdown mid-script may have been raised *inside* run_item
         // (region aborted); catch that too so the journal stays open.
         shut_down = shut_down || self.shutdown_status().is_some();
@@ -268,120 +266,30 @@ impl Jash {
         item: &ListItem,
         io: &ShellIo,
     ) -> jash_interp::Result<i32> {
-        // One region span per top-level statement, whatever path it takes.
-        // The attrs start pessimistic (interpreted, width 1, no bytes) and
-        // the optimize/resume/failover paths overwrite them — last write
-        // wins, so the committed span reflects what actually happened.
-        let span = self.tracer.as_ref().map(|t| {
-            let name = jash_ast::unparse(&Program {
-                items: vec![item.clone()],
-            });
-            let s = t.start("region", &name, self.current_run);
-            t.set_attr(s, "action", "interpreted");
-            t.set_attr(s, "width", 1u64);
-            t.set_attr(s, "bytes_in", 0u64);
-            t.set_attr(s, "bytes_out", 0u64);
-            s
-        });
-        let prev_region = self.current_region;
-        self.current_region = span;
-        let sup_mark = self.runtime.supervision.events.len();
-        let result = self.run_item_inner(state, item, io);
-        self.mirror_supervision(sup_mark);
-        if let (Some(t), Some(s)) = (&self.tracer, span) {
-            if let Ok(status) = &result {
-                t.set_attr(s, "status", i64::from(*status));
-            }
-            t.end(s);
-        }
-        self.current_region = prev_region;
-        result
-    }
-
-    fn run_item_inner(
-        &mut self,
-        state: &mut ShellState,
-        item: &ListItem,
-        io: &ShellIo,
-    ) -> jash_interp::Result<i32> {
-        let plain = !item.background
+        // Every engine but Bash walks the statement with the session as
+        // the hook, so each pipeline the walk reaches (background items
+        // aside) is offered at its expansion boundary. A statement that
+        // is exactly one such pipeline is a depth-0 region: the span
+        // `on_pipeline` opens is its only span. Any other statement gets
+        // a statement span here, and the regions inside nest under it.
+        let hooked = self.engine != Engine::Bash;
+        let depth0 = hooked
+            && !item.background
             && item.and_or.rest.is_empty()
-            && !item.and_or.first.negated;
-        let all_simple = item
-            .and_or
-            .first
-            .commands
-            .iter()
-            .all(|c| matches!(c.kind, CommandKind::Simple(_)));
+            && !item.and_or.first.negated
+            && all_simple(&item.and_or.first);
         let single = Program {
             items: vec![item.clone()],
         };
-        if self.engine != Engine::Bash && plain && all_simple {
-            // A plain top-level pipeline: the statement's own region span
-            // already covers it, so attempt the region directly and
-            // interpret hooklessly on decline (no second attempt).
-            let text = jash_ast::unparse(&single);
-            match self.core.try_optimize(state, &item.and_or.first, io, &text) {
-                Ok(Some(status)) => return Ok(status),
-                Ok(None) => {}
-                Err(e) => return Err(e),
-            }
-            return self.interp.run_program(state, &single, io);
+        let statement = (!depth0).then(|| self.open_region(|| jash_ast::unparse(&single)));
+        let mut interp = std::mem::take(&mut self.interp);
+        let hook: Option<&mut dyn PipelineJit> = if hooked { Some(self) } else { None };
+        let result = interp.run_program_jit(state, &single, io, hook);
+        self.interp = interp;
+        if let Some(open) = statement {
+            self.close_region(open, &result);
         }
-        if self.engine != Engine::Bash {
-            self.core.trace.push(TraceEvent {
-                pipeline: jash_ast::unparse(&single),
-                action: Action::Interpreted {
-                    reason: "not a plain foreground pipeline".to_string(),
-                },
-            });
-        }
-        // Compound statements (and `&&`/`||` chains, negations) interpret
-        // with the JIT callout threaded in: every pipeline the walk
-        // reaches under control flow is offered to the engine at its
-        // expansion boundary (paper §3.2 — optimize *after* expansion,
-        // per iteration). Background items stay hookless: their subshell
-        // effects are discarded wholesale.
-        let Jash { core, interp } = self;
-        let hook: Option<&mut dyn PipelineJit> =
-            if core.engine == Engine::JashJit && !item.background {
-                Some(core)
-            } else {
-                None
-            };
-        interp.run_program_jit(state, &single, io, hook)
-    }
-}
-
-impl JitCore {
-    /// Creates the engine state for `engine` on `machine`.
-    fn new(engine: Engine, machine: MachineProfile) -> Self {
-        JitCore {
-            engine,
-            machine,
-            registry: jash_spec::Registry::builtin(),
-            planner: PlannerOptions::default(),
-            trace: Vec::new(),
-            runtime: RuntimeInfo::default(),
-            node_timeout: None,
-            cancel: None,
-            retry_policy: RetryPolicy::default(),
-            breaker: CircuitBreaker::default(),
-            durable: true,
-            kernel_fault: None,
-            tracer: None,
-            calibration: None,
-            run_attrs: Vec::new(),
-            journal: None,
-            memo: None,
-            resume: None,
-            current_run: None,
-            current_region: None,
-            plan_cache: PlanCache::new(),
-            loop_iters: Vec::new(),
-            nested: Vec::new(),
-            mirrored: 0,
-        }
+        result
     }
 
     /// Attaches the crash-recovery journal rooted at `dir` (typically
@@ -466,17 +374,13 @@ impl JitCore {
         let region = match self.engine {
             Engine::PashAot => static_region(state, pl),
             Engine::JashJit => jit_region(state, pl),
-            Engine::Bash => unreachable!("caller filtered"),
+            Engine::Bash => unreachable!("Bash walks without the hook"),
         };
         self.trace_hist("jit.expand_us", expand_start.elapsed());
         let mut region = match region {
             Ok(r) => r,
-            Err(e @ Ineligible::ExpansionFailed(_)) => {
-                // A failing expansion must surface as a real error, so let
-                // the interpreter produce it faithfully.
-                fallback(self, e.to_string());
-                return Ok(None);
-            }
+            // Ineligible — a failing expansion included: it must surface
+            // as a real error, so the interpreter produces it faithfully.
             Err(e) => {
                 fallback(self, e.to_string());
                 return Ok(None);
@@ -984,6 +888,47 @@ impl JitCore {
         self.deliver(state, io, outcome).map(Some)
     }
 
+    /// Opens a region span under the innermost open region (or the run)
+    /// and makes it current. Its attrs start pessimistic — interpreted,
+    /// width 1, no bytes — and the optimize/resume/failover paths
+    /// overwrite them: last write wins, so the committed span reflects
+    /// what actually happened. `name` is rendered only when tracing.
+    fn open_region(&mut self, name: impl FnOnce() -> String) -> OpenRegion {
+        let span = self.tracer.as_ref().map(|t| {
+            let s = t.start("region", &name(), self.current_region.or(self.current_run));
+            t.set_attr(s, "action", "interpreted");
+            t.set_attr(s, "width", 1u64);
+            t.set_attr(s, "bytes_in", 0u64);
+            t.set_attr(s, "bytes_out", 0u64);
+            if let Some(iter) = self.loop_iters.last() {
+                t.set_attr(s, "loop_iter", *iter);
+            }
+            s
+        });
+        let open = OpenRegion {
+            span,
+            prev_region: self.current_region,
+            sup_mark: self.runtime.supervision.events.len(),
+        };
+        self.current_region = span;
+        open
+    }
+
+    /// Closes a region opened by [`Jash::open_region`]: mirrors the
+    /// supervision events logged inside it, stamps the status of a run
+    /// that produced one, ends the span and restores the enclosing
+    /// region.
+    fn close_region(&mut self, open: OpenRegion, result: &jash_interp::Result<i32>) {
+        self.mirror_supervision(open.sup_mark);
+        if let (Some(t), Some(s)) = (&self.tracer, open.span) {
+            if let Ok(status) = result {
+                t.set_attr(s, "status", i64::from(*status));
+            }
+            t.end(s);
+        }
+        self.current_region = open.prev_region;
+    }
+
     /// Sets an attribute on the open region span, when tracing.
     fn trace_region_attr(&self, key: &str, value: impl Into<AttrValue>) {
         if let (Some(t), Some(s)) = (&self.tracer, self.current_region) {
@@ -1155,18 +1100,18 @@ impl JitCore {
     }
 }
 
-/// The JIT callout the interpreter offers every pipeline it reaches
-/// under control flow (`if`/`while`/`for`/brace groups/`&&`/`||`).
+/// The JIT callout the interpreter offers every pipeline it reaches, at
+/// the top level and under control flow (`if`/`while`/`for`/brace
+/// groups/`&&`/`||`).
 ///
-/// This is where "optimize at the expansion boundary" happens for
-/// dynamic code: the walk has already run the surrounding control flow,
-/// so the shell state the region extracts against is the live,
-/// per-iteration one. A handled pipeline returns `Some(status)` and the
-/// interpreter skips it; a declined pipeline returns `None` with an
-/// open [`NestedRegion`] record that [`PipelineJit::pipeline_interpreted`]
-/// closes — so interpreted pipelines inside control flow get the same
-/// span/status accounting as top-level regions.
-impl PipelineJit for JitCore {
+/// This is where "optimize at the expansion boundary" happens: the walk
+/// has already run the surrounding control flow, so the shell state the
+/// region extracts against is the live, per-iteration one. A handled
+/// pipeline returns `Some(status)` and the interpreter skips it; a
+/// declined pipeline returns `None` with its region still open, and
+/// [`PipelineJit::pipeline_interpreted`] closes it — so interpreted and
+/// optimized pipelines get the same span/status accounting.
+impl PipelineJit for Jash {
     fn on_pipeline(
         &mut self,
         state: &mut ShellState,
@@ -1179,16 +1124,12 @@ impl PipelineJit for JitCore {
         if let Some(code) = self.shutdown_status() {
             return Some(Err(InterpError::Flow(Flow::Exit(code))));
         }
-        let all_simple = pl
-            .commands
-            .iter()
-            .all(|c| matches!(c.kind, CommandKind::Simple(_)));
-        if !all_simple {
+        if !all_simple(pl) {
             // A compound stage (the pipeline wrapping an `if`, a loop, a
             // brace group…): nothing extractable at this level — the
             // pipelines *inside* each get their own offer. Stay silent:
             // no span, no trace event.
-            self.nested.push(NestedRegion {
+            self.nested.push(OpenRegion {
                 span: None,
                 prev_region: self.current_region,
                 sup_mark: self.runtime.supervision.events.len(),
@@ -1201,27 +1142,7 @@ impl PipelineJit for JitCore {
                 background: false,
             }],
         });
-        // One region span per offered pipeline, nested under the
-        // enclosing statement's span. Attrs start pessimistic exactly
-        // like top-level regions; the optimize path overwrites them.
-        let span = self.tracer.as_ref().map(|t| {
-            let s = t.start(
-                "region",
-                &text,
-                self.current_region.or(self.current_run),
-            );
-            t.set_attr(s, "action", "interpreted");
-            t.set_attr(s, "width", 1u64);
-            t.set_attr(s, "bytes_in", 0u64);
-            t.set_attr(s, "bytes_out", 0u64);
-            if let Some(iter) = self.loop_iters.last() {
-                t.set_attr(s, "loop_iter", *iter);
-            }
-            s
-        });
-        let prev_region = self.current_region;
-        self.current_region = span;
-        let sup_mark = self.runtime.supervision.events.len();
+        let open = self.open_region(|| text.clone());
         // A live stdin binding (`... | while read`, a redirected body)
         // feeds the pipeline bytes the region extractor cannot see;
         // only file-fed regions are offered to the engine.
@@ -1233,55 +1154,24 @@ impl PipelineJit for JitCore {
                     reason: "live stdin binding".to_string(),
                 },
             });
-            self.nested.push(NestedRegion {
-                span,
-                prev_region,
-                sup_mark,
-            });
+            self.nested.push(open);
             return None;
         }
-        match self.try_optimize(state, pl, io, &text) {
-            Ok(Some(status)) => {
-                self.mirror_supervision(sup_mark);
-                if let (Some(t), Some(s)) = (&self.tracer, span) {
-                    t.set_attr(s, "status", i64::from(status));
-                    t.end(s);
-                }
-                self.current_region = prev_region;
-                Some(Ok(status))
-            }
-            Ok(None) => {
-                // Declined (ineligible, planner said no, or failed over):
-                // leave the span open — the interpreter runs the pipeline
-                // next and `pipeline_interpreted` closes the books.
-                self.nested.push(NestedRegion {
-                    span,
-                    prev_region,
-                    sup_mark,
-                });
-                None
-            }
-            Err(e) => {
-                self.mirror_supervision(sup_mark);
-                if let (Some(t), Some(s)) = (&self.tracer, span) {
-                    t.end(s);
-                }
-                self.current_region = prev_region;
-                Some(Err(e))
-            }
+        // Declined (ineligible, planner said no, or failed over): leave
+        // the region open — the interpreter runs the pipeline next and
+        // `pipeline_interpreted` closes the books.
+        let handled = self.try_optimize(state, pl, io, &text).transpose();
+        match &handled {
+            Some(result) => self.close_region(open, result),
+            None => self.nested.push(open),
         }
+        handled
     }
 
     fn pipeline_interpreted(&mut self, result: &jash_interp::Result<i32>) {
-        let Some(n) = self.nested.pop() else { return };
-        self.mirror_supervision(n.sup_mark);
-        if let (Some(t), Some(s)) = (&self.tracer, n.span) {
-            if let Ok(status) = result {
-                t.set_attr(s, "status", i64::from(*status));
-            }
-            t.end(s);
+        if let Some(open) = self.nested.pop() {
+            self.close_region(open, result);
         }
-        self.current_region = n.prev_region;
     }
 
     fn loop_enter(&mut self) {
@@ -1403,6 +1293,14 @@ fn supervision_attrs(e: &SupervisionEvent) -> (&'static str, Vec<(String, AttrVa
             vec![a("fingerprint", format!("{fingerprint:016x}"))],
         ),
     }
+}
+
+/// Whether every stage of `pl` is a simple command — the only shape a
+/// region can be extracted from.
+fn all_simple(pl: &Pipeline) -> bool {
+    pl.commands
+        .iter()
+        .all(|c| matches!(c.kind, CommandKind::Simple(_)))
 }
 
 /// Sums the sizes of all files the region reads.

@@ -3,7 +3,8 @@
 //! (HotOS '21, §3.2).
 //!
 //! A [`Jash`] session interprets scripts statement by statement. For each
-//! top-level pipeline it attempts, in order:
+//! pipeline the interpreter's walk reaches — at the top level or inside a
+//! loop, branch or `&&`/`||` chain — it attempts, in order:
 //!
 //! 1. **region extraction** — purity-check every word (Smoosh-style
 //!    effect analysis) and expand the pure ones *early*, against live
@@ -53,7 +54,7 @@ pub use recovery::{
 pub use jash_exec::{
     classify, ErrorClass, RetryPolicy, SupervisionEvent, SupervisionLog,
 };
-pub use jit::{Jash, JitCore};
+pub use jit::Jash;
 pub use plancache::{byte_bucket, options_signature, PlanCache};
 pub use region::{jit_region, static_region, Ineligible};
 pub use supervise::{
@@ -866,5 +867,82 @@ echo loop-done $f $?
             [R::RunStart { epoch: 2 }, R::RunComplete]
         );
         assert!(!run_journaled(&fs, "echo hi", false).interrupted);
+    }
+
+    #[test]
+    fn a_pipeline_is_one_region_at_every_depth() {
+        use jash_trace::Record;
+        let pipeline = "cat /in | tr A-Z a-z | sort";
+        let content = "Zebra apple\n".repeat(400);
+        let mut seen = Vec::new();
+        for src in [
+            pipeline.to_string(),
+            format!("if true; then {pipeline}; fi"),
+        ] {
+            let mut state = ShellState::new(fs_with(&[("/in", &content)]));
+            let mut shell = Jash::new(Engine::JashJit, machine());
+            shell.planner = eager();
+            let tracer = std::sync::Arc::new(jash_trace::Tracer::new());
+            shell.tracer = Some(std::sync::Arc::clone(&tracer));
+            assert_eq!(shell.run_script(&mut state, &src).unwrap().status, 0);
+            let event = shell.trace.iter().find(|t| t.pipeline == pipeline);
+            let Some(Action::Optimized { width, fused, .. }) = event.map(|t| &t.action) else {
+                panic!("`{src}` must optimize the pipeline: {:?}", shell.trace);
+            };
+            let records = tracer.drain();
+            let regions: Vec<&Record> = records
+                .iter()
+                .filter(|r| matches!(r, Record::Span { kind, .. } if kind == "region"))
+                .collect();
+            let spans: Vec<&&Record> = regions
+                .iter()
+                .filter(|r| matches!(r, Record::Span { name, .. } if name == pipeline))
+                .collect();
+            assert_eq!(spans.len(), 1, "one span for the pipeline: {regions:?}");
+            if src == pipeline {
+                // Depth 0: the pipeline's span is the statement's only one,
+                // and it hangs straight off the run.
+                let run = records
+                    .iter()
+                    .find_map(|r| match r {
+                        Record::Span { kind, id, .. } if kind == "run" => Some(*id),
+                        _ => None,
+                    })
+                    .unwrap();
+                assert_eq!(regions.len(), 1, "{regions:?}");
+                assert!(matches!(spans[0], Record::Span { parent: Some(p), .. } if *p == run));
+            }
+            let attrs: Vec<_> = ["action", "width", "fused", "bytes_in", "status"]
+                .into_iter()
+                .map(|k| spans[0].attr(k).cloned())
+                .collect();
+            assert!(attrs.iter().all(Option::is_some), "{:?}", spans[0]);
+            seen.push(((*width, *fused), attrs));
+        }
+        assert_eq!(seen[0], seen[1], "top level vs inside `if`");
+    }
+
+    #[test]
+    fn aot_optimizes_static_pipelines_inside_control_flow() {
+        let fs = || fs_with(&[("/in", &"WORD other\n".repeat(500))]);
+        let src = "for i in 1 2; do cat /in | tr A-Z a-z | sort; done";
+        let (r, shell) = run_engine(Engine::PashAot, fs(), src);
+        let (bash, _) = run_engine(Engine::Bash, fs(), src);
+        assert_eq!((r.status, &r.stdout), (bash.status, &bash.stdout));
+        assert_eq!(
+            shell.trace.iter().filter(|t| t.was_optimized()).count(),
+            2,
+            "{:?}",
+            shell.trace
+        );
+
+        // `$f` is only known at run time: the AOT engine still declines.
+        let src = "for f in /in /in; do cat $f | tr A-Z a-z | sort; done";
+        let (r, shell) = run_engine(Engine::PashAot, fs(), src);
+        assert_eq!(r.stdout, bash.stdout);
+        assert!(!shell.trace.iter().any(TraceEvent::was_optimized));
+        assert!(shell.trace.iter().any(
+            |t| matches!(&t.action, Action::Interpreted { reason } if reason.contains("AOT"))
+        ));
     }
 }

@@ -9,12 +9,23 @@ use std::io;
 
 /// A parsed `grep` invocation: the per-line op plus what only the
 /// standalone command implements.
-pub(crate) struct Grep {
+pub struct Grep {
     pub(crate) op: GrepOp,
-    pub(crate) count_only: bool,
-    pub(crate) quiet: bool,
-    pub(crate) max_count: Option<u64>,
-    pub(crate) files: Vec<String>,
+    /// `-c`: print the number of selected lines instead of the lines.
+    pub count_only: bool,
+    /// `-q`: print nothing and stop at the first selected line.
+    pub quiet: bool,
+    /// `-m N`: stop after N selected lines.
+    pub max_count: Option<u64>,
+    /// Indices into the argument vector of the file operands.
+    pub files: Vec<usize>,
+}
+
+impl Grep {
+    /// `-n`: prefix each selected line with its input line number.
+    pub fn line_numbers(&self) -> bool {
+        self.op.line_numbers
+    }
 }
 
 /// Runs `grep [-vcinqEF] [-m N] [-e pattern] pattern [file...]`.
@@ -36,6 +47,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         }
     };
 
+    let files: Vec<String> = files.into_iter().map(|i| args[i].clone()).collect();
     let status = for_each_input_line(&files, io, ctx, |out, line| {
         let body = chomp(line);
         if op.hit(body) {
@@ -63,7 +75,7 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
 
 /// Parses an argument vector, or returns the diagnostic `grep` prints
 /// for it.
-pub(crate) fn parse(args: &[String]) -> Result<Grep, String> {
+pub fn parse(args: &[String]) -> Result<Grep, String> {
     let mut invert = false;
     let mut count_only = false;
     let mut icase = false;
@@ -83,7 +95,7 @@ pub(crate) fn parse(args: &[String]) -> Result<Grep, String> {
             if pattern.is_none() {
                 pattern = Some(a.clone());
             } else {
-                files.push(a.clone());
+                files.push(i);
             }
             i += 1;
             continue;

@@ -12,8 +12,8 @@ struct Counts {
     bytes: u64,
 }
 
-/// Runs `wc [-lwcm] [file...]`. With multiple files a `total` row is
-/// printed, like the real tool.
+/// Runs `wc [-lwcm] [file...]`. `-` reads standard input. With multiple
+/// files a `total` row is printed, like the real tool.
 pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i32> {
     let (flags, files) = crate::util::split_flags(args);
     let mut show_lines = false;
@@ -68,34 +68,38 @@ pub fn run(args: &[String], io: &mut UtilIo<'_>, ctx: &UtilCtx) -> io::Result<i3
         io.stdout.write_chunk(Bytes::from(line))
     };
 
-    if files.is_empty() {
-        let mut c = Counts::default();
-        let mut in_word = false;
-        while let Some(chunk) = io.stdin.next_chunk()? {
-            count_chunk(&chunk, &mut c, &mut in_word);
-        }
-        report(io, c, None)?;
-        return Ok(0);
-    }
-
+    // No operands: count stdin and print no name.
+    let unnamed = files.is_empty();
+    let files = if unnamed {
+        vec!["-".to_string()]
+    } else {
+        files
+    };
     for f in &files {
         let mut c = Counts::default();
         let mut in_word = false;
-        match ctx.fs.open_read(&ctx.resolve(f)) {
-            Ok(mut h) => {
-                while let Some(chunk) = h.read_chunk(jash_io::DEFAULT_CHUNK)? {
-                    count_chunk(&chunk, &mut c, &mut in_word);
-                }
-                total.lines += c.lines;
-                total.words += c.words;
-                total.bytes += c.bytes;
-                report(io, c, Some(f))?;
+        if f == "-" {
+            while let Some(chunk) = io.stdin.next_chunk()? {
+                count_chunk(&chunk, &mut c, &mut in_word);
             }
-            Err(e) => {
-                write_stderr(io, &format!("wc: {f}: {e}\n"))?;
-                status = 1;
+        } else {
+            match ctx.fs.open_read(&ctx.resolve(f)) {
+                Ok(mut h) => {
+                    while let Some(chunk) = h.read_chunk(jash_io::DEFAULT_CHUNK)? {
+                        count_chunk(&chunk, &mut c, &mut in_word);
+                    }
+                }
+                Err(e) => {
+                    write_stderr(io, &format!("wc: {f}: {e}\n"))?;
+                    status = 1;
+                    continue;
+                }
             }
         }
+        total.lines += c.lines;
+        total.words += c.words;
+        total.bytes += c.bytes;
+        report(io, c, (!unnamed).then_some(f.as_str()))?;
     }
     if files.len() > 1 {
         report(io, total, Some("total"))?;
@@ -160,5 +164,19 @@ mod tests {
         assert!(text.contains("1 /a"));
         assert!(text.contains("2 /b"));
         assert!(text.contains("3 total"));
+    }
+
+    #[test]
+    fn dash_reads_stdin() {
+        let ctx = UtilCtx::new(jash_io::mem_fs());
+        jash_io::fs::write_file(ctx.fs.as_ref(), "/a", b"x\n").unwrap();
+        let (st, out, err) = run_on_bytes(&ctx, "wc", &["-l", "-"], b"y\nz\n").unwrap();
+        assert_eq!(
+            (st, String::from_utf8(out).unwrap()),
+            (0, "2 -\n".to_string())
+        );
+        assert!(err.is_empty());
+        let (_, out, _) = run_on_bytes(&ctx, "wc", &["-l", "/a", "-"], b"y\nz\n").unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), "1 /a\n2 -\n3 total\n");
     }
 }

@@ -155,10 +155,20 @@ pub fn compile(region: &Region, registry: &Registry) -> Result<Compiled, Compile
                     stdin_file = Some(args.remove(i));
                 }
             }
-            let spec = registry
+            let mut spec = registry
                 .resolve(&cmd.name, &args)
                 .ok_or_else(|| CompileError::UnknownCommand(cmd.name.clone()))?;
             let reads_stdin = spec.reads_stdin || args.iter().any(|a| a == "-");
+            // A stage fed by the pipe that also keeps a file operand
+            // (`x | cat F -`) would read F whole inside every parallel
+            // clone, while only the pipe splits.
+            if stdin_file.is_none()
+                && !first
+                && reads_stdin
+                && spec.input_args.iter().any(|&i| args[i] != "-")
+            {
+                spec.class = ParallelClass::NonParallelizable;
+            }
 
             let n = dfg.add_node(NodeKind::Command {
                 name: cmd.name.clone(),

@@ -132,46 +132,24 @@ pub fn resolve_builtin(name: &str, args: &[String]) -> Option<InstanceSpec> {
             }
         }
         "grep" => {
-            let mut inputs = Vec::new();
-            let mut seen_pattern = args.iter().any(|a| a == "-e");
-            let mut quiet = false;
-            let mut skip_next = false;
-            for (i, a) in args.iter().enumerate() {
-                if skip_next {
-                    skip_next = false;
-                    // `-e PATTERN` argument.
-                    continue;
+            // `grep`'s own parser: a spelling it rejects is no region.
+            let grep = jash_coreutils::cmds::grep::parse(args).ok()?;
+            // `-n` numbers and `-m` counts lines across the whole input,
+            // so neither survives a split.
+            let class = if grep.line_numbers() || grep.max_count.is_some() {
+                ParallelClass::NonParallelizable
+            } else if grep.count_only {
+                ParallelClass::Parallelizable {
+                    agg: Aggregator::SumCounts,
                 }
-                if a == "-e" || a == "-m" {
-                    skip_next = true;
-                    continue;
-                }
-                if a.starts_with('-') && a.len() > 1 {
-                    if a.contains('q') {
-                        quiet = true;
-                    }
-                    continue;
-                }
-                if !seen_pattern {
-                    seen_pattern = true;
-                    continue;
-                }
-                inputs.push(i);
-            }
-            let counting = args.iter().any(|a| {
-                a.starts_with('-') && a.len() > 1 && a.contains('c') && !a.starts_with("--")
-            });
+            } else {
+                ParallelClass::Stateless
+            };
             InstanceSpec {
-                class: if counting {
-                    ParallelClass::Parallelizable {
-                        agg: Aggregator::SumCounts,
-                    }
-                } else {
-                    ParallelClass::Stateless
-                },
-                reads_stdin: inputs.is_empty() || args.iter().any(|a| a == "-"),
-                input_args: inputs,
-                prefix_only: quiet || args.iter().any(|a| a == "-m"),
+                class,
+                reads_stdin: grep.files.is_empty() || grep.files.iter().any(|&i| args[i] == "-"),
+                prefix_only: grep.quiet || grep.max_count.is_some(),
+                input_args: grep.files,
                 output_files: Vec::new(),
                 blocking: false,
             }

@@ -593,6 +593,46 @@ fn run_full(engine: Engine, src: &str, aggressive: bool) -> (i32, Vec<u8>, Vec<u
     (r.status, r.stdout, r.stderr)
 }
 
+/// Runs control-flow seed `seed` under `engine` (aggressive, traced),
+/// asserts it matches the interpreter oracle byte-for-byte on stdout,
+/// stderr, and exit status, and returns the seed's class and trace.
+fn control_flow_seed(engine: Engine, seed: u64) -> (u64, Vec<jash::trace::Record>) {
+    let (class, src) = random_control_flow(seed);
+    let (bash_st, bash_out, bash_err) = run_full(Engine::Bash, &src, false);
+
+    let fs = staged_fs();
+    let mut state = ShellState::new(fs);
+    let mut shell = Jash::new(engine, machine());
+    shell.planner = PlannerOptions {
+        min_speedup: 0.0,
+        force_width: Some(4),
+        ..Default::default()
+    };
+    let tracer = Arc::new(jash::trace::Tracer::new());
+    shell.tracer = Some(Arc::clone(&tracer));
+    let r = shell.run_script(&mut state, &src).expect("script runs");
+
+    assert_eq!(bash_st, r.status, "status diverged for seed {seed}:\n{src}");
+    assert_eq!(
+        String::from_utf8_lossy(&bash_out),
+        String::from_utf8_lossy(&r.stdout),
+        "stdout diverged for seed {seed}:\n{src}"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&bash_err),
+        String::from_utf8_lossy(&r.stderr),
+        "stderr diverged for seed {seed}:\n{src}"
+    );
+    (class, tracer.drain())
+}
+
+fn control_flow_seeds() -> u64 {
+    std::env::var("JASH_DIFF_SEEDS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(220)
+}
+
 /// The control-flow differential harness (the tentpole's proof): for a
 /// fixed seed matrix of loop/branch scripts, the JIT must match the
 /// interpreter oracle byte-for-byte on stdout, stderr, and exit status —
@@ -603,42 +643,13 @@ fn run_full(engine: Engine, src: &str, aggressive: bool) -> (i32, Vec<u8>, Vec<u
 /// still pass the byte checks; the per-class floors catch that.
 #[test]
 fn control_flow_differential_vs_interpreter() {
-    let seeds: u64 = std::env::var("JASH_DIFF_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(220);
+    let seeds = control_flow_seeds();
     let mut class_optimized = [0usize; 5];
     let mut loop_body_optimized = 0usize;
     for seed in 0..seeds {
-        let (class, src) = random_control_flow(seed);
-        let (bash_st, bash_out, bash_err) = run_full(Engine::Bash, &src, false);
-
-        let fs = staged_fs();
-        let mut state = ShellState::new(fs);
-        let mut shell = Jash::new(Engine::JashJit, machine());
-        shell.planner = PlannerOptions {
-            min_speedup: 0.0,
-            force_width: Some(4),
-            ..Default::default()
-        };
-        let tracer = Arc::new(jash::trace::Tracer::new());
-        shell.tracer = Some(Arc::clone(&tracer));
-        let r = shell.run_script(&mut state, &src).expect("script runs");
-
-        assert_eq!(bash_st, r.status, "status diverged for seed {seed}:\n{src}");
-        assert_eq!(
-            String::from_utf8_lossy(&bash_out),
-            String::from_utf8_lossy(&r.stdout),
-            "stdout diverged for seed {seed}:\n{src}"
-        );
-        assert_eq!(
-            String::from_utf8_lossy(&bash_err),
-            String::from_utf8_lossy(&r.stderr),
-            "stderr diverged for seed {seed}:\n{src}"
-        );
-
+        let (class, records) = control_flow_seed(Engine::JashJit, seed);
         let mut seed_optimized = false;
-        for rec in tracer.drain() {
+        for rec in records {
             let jash::trace::Record::Span { ref kind, .. } = rec else {
                 continue;
             };
@@ -669,6 +680,69 @@ fn control_flow_differential_vs_interpreter() {
         "only {loop_body_optimized} optimized loop-body regions across {seeds} seeds \
          (floor {floor}) — loops are no longer JIT'd per iteration"
     );
+}
+
+/// The same matrix under the AOT engine, which now also reaches
+/// pipelines inside loops and branches: byte equality only. Its bodies
+/// are mostly `$f`/`$w`-bound, which a static optimizer must decline, so
+/// there is no optimized-inside-body floor here.
+#[test]
+fn control_flow_differential_pash_aot_vs_interpreter() {
+    for seed in 0..control_flow_seeds() {
+        control_flow_seed(Engine::PashAot, seed);
+    }
+}
+
+/// Fixed width-4 rows for stages that once split unsoundly: `grep -n`
+/// numbered and `grep -m` stopped per branch, and a mid-pipeline stage
+/// that kept a file operand read that file whole inside every clone.
+/// Each row runs unfused and fused and must match the interpreter on
+/// status, stdout and stderr.
+#[test]
+fn fixed_rows_agree_with_the_interpreter_at_width_four() {
+    let lines: String = (0..4000)
+        .map(|i| format!("line {i} {}\n", if i % 5 == 1 { "aaa1 k" } else { "bbb2" }))
+        .collect();
+    let run_row = |engine: Engine, src: &str, planner: PlannerOptions| {
+        let fs = jash::io::mem_fs();
+        jash::io::fs::write_file(fs.as_ref(), "/in", lines.as_bytes()).unwrap();
+        let mut state = ShellState::new(fs);
+        let mut shell = Jash::new(engine, machine());
+        shell.planner = planner;
+        let r = shell.run_script(&mut state, src).expect("script runs");
+        (
+            r.status,
+            String::from_utf8(r.stdout).unwrap(),
+            String::from_utf8(r.stderr).unwrap(),
+        )
+    };
+    let rows = [
+        ("cat /in | grep -n aaa1 | tail -n 3", None),
+        ("cat /in | grep -m 3 aaa1", None),
+        ("cat /in | grep -c -m 2 aaa1", Some("2\n")),
+        ("cat /in | cat /in - | wc -l", Some("8000\n")),
+        ("cat /in | cat - /in | wc -l", Some("8000\n")),
+        ("cat /in | grep k /in - | wc -l", Some("1600\n")),
+        ("cat /in | sort /in - | wc -l", Some("8000\n")),
+        ("cat /in | wc -l /in", Some("4000 /in\n")),
+    ];
+    for (src, expected) in rows {
+        let oracle = run_row(Engine::Bash, src, PlannerOptions::default());
+        if let Some(expected) = expected {
+            assert_eq!(oracle.1, expected, "interpreter on `{src}`");
+        }
+        for fused in [false, true] {
+            let planner = PlannerOptions {
+                min_speedup: 0.0,
+                force_width: Some(4),
+                allow_fusion: fused,
+                force_fusion: fused,
+                ..Default::default()
+            };
+            let got = run_row(Engine::JashJit, src, planner);
+            assert_eq!(oracle, got, "`{src}` at width 4 (fused: {fused})");
+        }
+    }
 }
 
 /// The acceptance scenario pinned explicitly: a `for` loop over ≥8
